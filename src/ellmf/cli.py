@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every command prints deterministic output in one of three formats (text,
-json, csv); json output is canonical (sorted keys, no floats) so golden
-files regenerate byte-exactly.  Exit codes: 0 success, 1 failed
+Each command computes its result once: a JSON record, or a list of them,
+and a small function that lays the result out as lines of text.  `render`
+prints it in the chosen format (text, json or csv); json output is
+canonical (sorted keys, no floats) so golden files regenerate byte-exactly.
+`run` alone reports errors and picks the exit code: 0 success, 1 failed
 verification/classification, 2 invalid input.
 """
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import k0, mf as mfmod, shift, tables, tubular
 from .poly import BivariatePoly
@@ -21,7 +24,16 @@ RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 class SchemaError(ValueError):
-    pass
+    """Invalid input (exit 2)."""
+
+
+class CheckFailed(Exception):
+    """A check on valid input failed (exit 1); `output` is a command result
+    to print first, when the failure has a report."""
+
+    def __init__(self, message: str, output=None):
+        super().__init__(message)
+        self.output = output
 
 
 def parse_rational(text: str, where: str = "argument") -> Fraction:
@@ -30,8 +42,22 @@ def parse_rational(text: str, where: str = "argument") -> Fraction:
     return Fraction(text)
 
 
-def frac_str(v: Fraction) -> str:
-    return str(v)
+def parse_lambda(raw, where: str) -> Fraction | None:
+    """The parameter of a file or of --lambda: None for "sym", else a
+    rational other than 0 and 1."""
+    if raw == "sym":
+        return None
+    if not isinstance(raw, str):
+        raise SchemaError(f'{where}: expected "sym" or rational string')
+    lam = parse_rational(raw, where)
+    if lam in (0, 1):
+        raise SchemaError(f"{where}: must avoid 0 and 1")
+    return lam
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; bool subclasses int in Python but not in JSON."""
+    return type(v) is int
 
 
 # --- serialization --------------------------------------------------------
@@ -42,7 +68,7 @@ def scalar_to_coeffs(s: Scalar, where: str) -> list[str]:
     except ValueError:
         raise SchemaError(f"{where}: coefficient is not polynomial "
                           "in lambda")
-    return [frac_str(c) for c in coeffs]
+    return [str(c) for c in coeffs]
 
 
 def poly_to_json(p: BivariatePoly, where: str):
@@ -59,7 +85,7 @@ def poly_from_json(obj, where: str, numeric: bool) -> BivariatePoly:
         if not isinstance(t, dict) or set(t) != {"x", "y", "c"}:
             raise SchemaError(f"{path}: expected object with x, y, c")
         i, j, c = t["x"], t["y"], t["c"]
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        if not (_is_int(i) and _is_int(j)) or i < 0 or j < 0:
             raise SchemaError(f"{path}: bad exponents")
         if not isinstance(c, list) or not c:
             raise SchemaError(f"{path}.c: expected nonempty array")
@@ -91,12 +117,12 @@ def gm_from_json(obj, where: str, numeric: bool) -> mfmod.GradedMatrix:
         raise SchemaError(f"{where}: expected rows/row_twists/col_twists")
     for key in ("row_twists", "col_twists"):
         tw = obj[key]
-        if not isinstance(tw, list) or not all(isinstance(v, int)
-                                               for v in tw):
+        if not isinstance(tw, list) or not all(_is_int(v) for v in tw):
             raise SchemaError(f"{where}.{key}: expected integer array")
     rows = obj["rows"]
-    if not isinstance(rows, list):
-        raise SchemaError(f"{where}.rows: expected array")
+    if not isinstance(rows, list) or not all(isinstance(r, list)
+                                             for r in rows):
+        raise SchemaError(f"{where}.rows: expected array of arrays")
     entries = tuple(
         tuple(poly_from_json(e, f"{where}.rows[{i}][{j}]", numeric)
               for j, e in enumerate(row))
@@ -109,7 +135,7 @@ def gm_from_json(obj, where: str, numeric: bool) -> mfmod.GradedMatrix:
 
 
 def mf_to_json(m: mfmod.MatrixFactorization, lam):
-    return {"lambda": "sym" if lam is None else frac_str(lam),
+    return {"lambda": "sym" if lam is None else str(lam),
             "f": poly_to_json(m.f, "f"),
             "A": gm_to_json(m.A, "A"),
             "B": gm_to_json(m.B, "B")}
@@ -118,19 +144,14 @@ def mf_to_json(m: mfmod.MatrixFactorization, lam):
 def mf_from_json(obj) -> tuple[mfmod.MatrixFactorization, Fraction | None]:
     if not isinstance(obj, dict) or set(obj) != {"lambda", "f", "A", "B"}:
         raise SchemaError("root: expected lambda/f/A/B")
-    lam_raw = obj["lambda"]
-    if lam_raw == "sym":
-        lam = None
-    elif isinstance(lam_raw, str):
-        lam = parse_rational(lam_raw, "lambda")
-        if lam in (0, 1):
-            raise SchemaError("lambda: must avoid 0 and 1")
-    else:
-        raise SchemaError('lambda: expected "sym" or rational string')
+    lam = parse_lambda(obj["lambda"], "lambda")
     numeric = lam is not None
     f = poly_from_json(obj["f"], "f", numeric)
     a = gm_from_json(obj["A"], "A", numeric)
     b = gm_from_json(obj["B"], "B", numeric)
+    quartic = mfmod.constants()[0]
+    if f != (quartic if lam is None else quartic.specialize(lam)):
+        raise SchemaError("f: not XY(X-Y)(X-lambda*Y) at the file's lambda")
     return mfmod.MatrixFactorization(a, b, f), lam
 
 
@@ -150,9 +171,9 @@ def betti_from_json(obj) -> tables.BettiTable:
         if not isinstance(e, dict) or set(e) != {"i", "j", "beta"}:
             raise SchemaError(f"{path}: expected i/j/beta")
         i, j, v = e["i"], e["j"], e["beta"]
-        if i not in (0, 1) or not isinstance(j, int):
+        if not (_is_int(i) and _is_int(j)) or i not in (0, 1):
             raise SchemaError(f"{path}: bad index")
-        if not isinstance(v, int) or v <= 0:
+        if not _is_int(v) or v <= 0:
             raise SchemaError(f"{path}.beta: expected positive integer")
         if (i, j) in d:
             raise SchemaError(f"{path}: duplicate entry")
@@ -160,118 +181,11 @@ def betti_from_json(obj) -> tables.BettiTable:
     return tables.BettiTable.from_dict(d)
 
 
-def cohom_to_json(t: tables.CohomTable, r: int, d: int, tube: str,
-                  mult: int):
-    return {"rows": [list(row) for row in t.rows], "r": r, "d": d,
-            "tube": tube, "mult": mult}
-
-
-def emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def emit_csv_rows(rows) -> None:
-    for row in rows:
-        print(",".join(str(v) for v in row))
-
-
-# --- commands -------------------------------------------------------------
-
-def cmd_roots(args) -> int:
-    roots = k0.enumerate_real_roots(args.m_max, args.n_min, args.n_max)
-    recs = [(*cl.coords, k0.rank(cl), k0.degree(cl), k0.chi(cl))
-            for cl in roots]
-    if args.format == "json":
-        emit_json([{"a0": r[0], "a": list(r[1:5]), "n": r[5],
-                    "r": r[6], "d": r[7], "chi": r[8]} for r in recs])
-    elif args.format == "csv":
-        emit_csv_rows(recs)
-    else:
-        for r in recs:
-            print(f"({r[0]}; {r[1]} {r[2]} {r[3]} {r[4]}; {r[5]})  "
-                  f"r={r[6]} d={r[7]} chi={r[8]}")
-    return 0
-
-
-def cmd_class_info(args) -> int:
-    cl = k0.K0Class(args.a0, (args.a1, args.a2, args.a3, args.a4), args.n)
-    r, d, x, mu = k0.invariants(cl)
-    q = k0.q_form(cl)
-    info = k0.classify_root(cl)
-    slope_str = ("undefined" if mu is None
-                 else "inf" if mu == float("inf") else str(mu))
-    if args.format == "json":
-        emit_json({"a0": cl.a0, "a": list(cl.a), "n": cl.n, "r": r, "d": d,
-                   "chi": x, "slope": None if mu is None else slope_str,
-                   "q": q, "root": info.kind.value,
-                   "sheaf": info.is_sheaf_class})
-    elif args.format == "csv":
-        emit_csv_rows([(*cl.coords, r, d, x, q, info.kind.value)])
-    else:
-        print(f"class: ({cl.a0}; {' '.join(map(str, cl.a))}; {cl.n})")
-        print(f"rank: {r}")
-        print(f"degree: {d}")
-        print(f"chi: {x}")
-        print(f"slope: {slope_str}")
-        print(f"q-form: {q}")
-        print(f"root: {info.kind.value}")
-        print(f"sheaf-class: {'yes' if info.is_sheaf_class else 'no'}")
-    return 0
-
-
-def _cohom_records(p):
-    recs = []
-    one = tables.cohom_rank_one(p)
-    if one is not None:
-        recs.append((one, 1, "rank1"))
-    for t, mult, tag in tables.cohom_rank_two(p):
-        tube = "rank2O" if tag.startswith("socle") else "rank2"
-        recs.append((t, mult, tube))
-    return recs
-
-
-def cmd_cohom(args) -> int:
-    p = (args.r, args.d)
-    try:
-        recs = _cohom_records(p)
-    except tables.NotReducedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        emit_json([cohom_to_json(t, args.r, args.d, tube, mult)
-                   for t, mult, tube in recs])
-    elif args.format == "csv":
-        emit_csv_rows([(tube, mult, *[v for row in t.rows for v in row])
-                       for t, mult, tube in recs])
-    else:
-        for t, mult, tube in recs:
-            print(f"{tube} x{mult}:")
-            for row in t.rows:
-                print(f"  {row[0]} {row[1]}")
-    return 0
-
-
-def cmd_betti_catalog(args) -> int:
-    cat = tables.catalog(args.a_max, args.b_max, args.r_max)
-    if args.format == "json":
-        emit_json([{"kind": c.kind, "params": list(c.params),
-                    **betti_to_json(t)} for c, t in cat])
-    elif args.format == "csv":
-        emit_csv_rows([(c.kind, *c.params,
-                        ";".join(f"{i}:{j}:{v}" for (i, j), v in t.entries))
-                       for c, t in cat])
-    else:
-        for c, t in cat:
-            cells = " ".join(f"b[{i},{j}]={v}" for (i, j), v in t.entries)
-            print(f"{c.kind}{c.params}: {cells}")
-    return 0
-
-
 def _read_json(path: str):
     try:
         text = (sys.stdin.read() if path == "-"
-                else open(path, encoding="utf-8").read())
-    except OSError as exc:
+                else Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
     try:
         return json.loads(text)
@@ -279,99 +193,181 @@ def _read_json(path: str):
         raise SchemaError(f"invalid JSON: {exc}")
 
 
-def _count_json(c: tables.IndecCount):
-    if c.finite is not None:
-        return {"finite": c.finite}
-    return {"level": c.level, "base": c.base}
+# --- rendering ------------------------------------------------------------
+
+def emit_json(obj) -> None:
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def cmd_classify_betti(args) -> int:
+def _csv_cell(v) -> str:
+    if isinstance(v, (dict, list)):
+        raise SchemaError("--format csv: the result is a nested document, "
+                          "not a table; use --format json")
+    if v is None:
+        return ""
+    return str(int(v)) if isinstance(v, bool) else str(v)
+
+
+def _csv_cells(v) -> list[str]:
+    """One field of a record as csv cells.  A list contributes its
+    elements; an object, or a list of objects, is one cell in which each
+    object's values are joined by ':' and the objects by ';'."""
+    if isinstance(v, dict):
+        v = [v]
+    if not isinstance(v, list):
+        return [_csv_cell(v)]
+    if not v or isinstance(v[0], dict):
+        return [";".join(":".join(_csv_cell(x) for x in obj.values())
+                         for obj in v)]
+    return [c for e in v for c in _csv_cells(e)]
+
+
+def render(args, record, text) -> None:
+    """Print a command result: its record as json or as one csv line per
+    record (fields in the order the record was built), or `text(record)`."""
+    if args.format == "json":
+        emit_json(record)
+        return
+    if args.format == "csv":
+        lines = [",".join(c for v in rec.values() for c in _csv_cells(v))
+                 for rec in (record if isinstance(record, list) else [record])]
+    else:
+        lines = text(record)
+    for line in lines:
+        print(line)
+
+
+# --- commands -------------------------------------------------------------
+# Each returns (record, text): the JSON record, or list of records, and the
+# function laying it out as lines of text.
+
+def _class_str(c) -> str:
+    return f"({c['a0']}; {' '.join(map(str, c['a']))}; {c['n']})"
+
+
+def cmd_roots(args):
+    try:
+        roots = k0.enumerate_real_roots(args.m_max, args.n_min, args.n_max)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+    recs = [{"a0": cl.a0, "a": list(cl.a), "n": cl.n, "r": k0.rank(cl),
+             "d": k0.degree(cl), "chi": k0.chi(cl)} for cl in roots]
+    return recs, lambda recs: [
+        f"{_class_str(c)}  r={c['r']} d={c['d']} chi={c['chi']}"
+        for c in recs]
+
+
+def cmd_class_info(args):
+    cl = k0.K0Class(args.a0, (args.a1, args.a2, args.a3, args.a4), args.n)
+    r, d, x, mu = k0.invariants(cl)
+    info = k0.classify_root(cl)
+    slope = None if mu is None else "inf" if mu == float("inf") else str(mu)
+    return {"a0": cl.a0, "a": list(cl.a), "n": cl.n, "r": r, "d": d,
+            "chi": x, "q": k0.q_form(cl), "root": info.kind.value,
+            "slope": slope, "sheaf": info.is_sheaf_class}, _class_info_text
+
+
+def _class_info_text(c):
+    slope = "undefined" if c["slope"] is None else c["slope"]
+    return [f"class: {_class_str(c)}", f"rank: {c['r']}",
+            f"degree: {c['d']}", f"chi: {c['chi']}", f"slope: {slope}",
+            f"q-form: {c['q']}", f"root: {c['root']}",
+            f"sheaf-class: {'yes' if c['sheaf'] else 'no'}"]
+
+
+def cmd_cohom(args):
+    p = (args.r, args.d)
+    try:
+        one = tables.cohom_rank_one(p)
+        two = tables.cohom_rank_two(p)
+    except tables.NotReducedError as exc:
+        raise SchemaError(str(exc)) from None
+    tubes = [(one, 1, "rank1")] if one is not None else []
+    tubes += [(t, mult, "rank2O" if tag.startswith("socle") else "rank2")
+              for t, mult, tag in two]
+    return [{"tube": tube, "mult": mult,
+             "rows": [list(row) for row in t.rows], "r": args.r,
+             "d": args.d} for t, mult, tube in tubes], _cohom_text
+
+
+def _cohom_text(recs):
+    lines = []
+    for c in recs:
+        lines.append(f"{c['tube']} x{c['mult']}:")
+        lines += [f"  {h0} {h1}" for h0, h1 in c["rows"]]
+    return lines
+
+
+def cmd_betti_catalog(args):
+    recs = [{"kind": c.kind, "params": list(c.params), **betti_to_json(t)}
+            for c, t in tables.catalog(args.a_max, args.b_max, args.r_max)]
+    return recs, lambda recs: [
+        f"{c['kind']}{tuple(c['params'])}: "
+        + " ".join(f"b[{e['i']},{e['j']}]={e['beta']}" for e in c["entries"])
+        for c in recs]
+
+
+def cmd_classify_betti(args):
     t = betti_from_json(_read_json(args.file))
     try:
         cls = tables.normalize_and_classify(t)
         r, d = tables.rd_from_betti(t)
-        count = tables.indec_count(cls)
     except tables.TableError as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        emit_json({"kind": cls.kind, "params": list(cls.params),
-                   "shift": cls.shift, "r": r, "d": d,
-                   "count": _count_json(count)})
-    elif args.format == "csv":
-        emit_csv_rows([(cls.kind, *cls.params, cls.shift, r, d)])
-    else:
-        print(f"class: {cls}")
-        print(f"rank: {r}")
-        print(f"degree: {d}")
-        if count.finite is not None:
-            print(f"count: finite {count.finite}")
-        else:
-            print(f"count: family level {count.level} over {count.base}")
-    return 0
+        raise CheckFailed(f"classification failed: {exc}") from None
+    n = tables.indec_count(cls)
+    count = ({"finite": n.finite} if n.finite is not None
+             else {"level": n.level, "base": n.base})
+    return {"kind": cls.kind, "params": list(cls.params),
+            "shift": cls.shift, "r": r, "d": d, "count": count}, \
+        _classify_text
 
 
-def cmd_reduce_rd(args) -> int:
-    p = (args.r, args.d)
+def _classify_text(c):
+    cls = tables.BettiClass(c["kind"], tuple(c["params"]), c["shift"])
+    n = c["count"]
+    return [f"class: {cls}", f"rank: {c['r']}", f"degree: {c['d']}",
+            f"count: finite {n['finite']}" if "finite" in n
+            else f"count: family level {n['level']} over {n['base']}"]
+
+
+def cmd_reduce_rd(args):
     try:
-        q, kk = shift.reduce_to_fundamental(p)
+        (r, d), k = shift.reduce_to_fundamental((args.r, args.d))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    reg = shift.region(q).name
-    if args.format == "json":
-        emit_json({"r": q[0], "d": q[1], "k": kk, "region": reg})
-    elif args.format == "csv":
-        emit_csv_rows([(q[0], q[1], kk, reg)])
-    else:
-        print(f"reduced: ({q[0]}, {q[1]}) via shift {kk}, region {reg}")
-    return 0
+        raise SchemaError(str(exc)) from None
+    rec = {"r": r, "d": d, "k": k, "region": shift.region((r, d)).name}
+    return rec, lambda c: [f"reduced: ({c['r']}, {c['d']}) via shift "
+                           f"{c['k']}, region {c['region']}"]
 
 
-def cmd_slope_word(args) -> int:
-    try:
-        q = parse_rational(args.slope, "slope")
-        if q <= 0:
-            raise SchemaError("slope: must be positive")
-        word = tubular.word_for_slope(q)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_slope_word(args):
+    q = parse_rational(args.slope, "slope")
+    if q <= 0:
+        raise SchemaError("slope: must be positive")
     m = tubular.phi_from_infinity(q)
-    if args.format == "json":
-        emit_json({"word": str(word), "matrix": [list(m[0]), list(m[1])]})
-    elif args.format == "csv":
-        emit_csv_rows([(str(word), m[0][0], m[0][1], m[1][0], m[1][1])])
-    else:
-        print(f"word: {word or '(empty)'}")
-        print(f"matrix: [[{m[0][0]},{m[0][1]}],[{m[1][0]},{m[1][1]}]]")
-    return 0
+    return {"word": str(tubular.word_for_slope(q)),
+            "matrix": [list(m[0]), list(m[1])]}, _slope_word_text
 
 
-def cmd_ulrich(args) -> int:
+def _slope_word_text(c):
+    (a, b), (e, d) = c["matrix"]
+    return [f"word: {c['word'] or '(empty)'}",
+            f"matrix: [[{a},{b}],[{e},{d}]]"]
+
+
+def cmd_ulrich(args):
     recs = []
     for c, t in tables.catalog(args.a_max, args.b_max, args.r_max):
-        _, e, muv, is_ulrich = tables.hilbert(t)
-        recs.append((c, e, muv, is_ulrich))
-    if args.format == "json":
-        emit_json([{"kind": c.kind, "params": list(c.params), "e": e,
-                    "mu": muv, "ulrich": u} for c, e, muv, u in recs])
-    elif args.format == "csv":
-        emit_csv_rows([(c.kind, *c.params, e, muv, int(u))
-                       for c, e, muv, u in recs])
-    else:
-        for c, e, muv, u in recs:
-            star = "  ULRICH" if u else ""
-            print(f"{c.kind}{c.params}: e={e} mu={muv}{star}")
-    return 0
+        _, e, mu, is_ulrich = tables.hilbert(t)
+        recs.append({"kind": c.kind, "params": list(c.params), "e": e,
+                     "mu": mu, "ulrich": is_ulrich})
+    return recs, lambda recs: [
+        f"{c['kind']}{tuple(c['params'])}: e={c['e']} mu={c['mu']}"
+        + ("  ULRICH" if c["ulrich"] else "") for c in recs]
 
 
 def _build_mf(args) -> tuple[mfmod.MatrixFactorization, Fraction | None]:
-    lam = None
-    if args.lam is not None:
-        lam = parse_rational(args.lam, "--lambda")
-        if lam in (0, 1):
-            raise SchemaError("--lambda: must avoid 0 and 1")
+    lam = parse_lambda(args.lam, "--lambda")
     which = args.what[0]
     rest = args.what[1:]
 
@@ -404,64 +400,51 @@ def _build_mf(args) -> tuple[mfmod.MatrixFactorization, Fraction | None]:
     return m, lam
 
 
-def _print_mf_text(m: mfmod.MatrixFactorization) -> None:
-    for label, g in (("A", m.A), ("B", m.B)):
-        print(f"{label}: rows {list(g.row_twists)} cols "
-              f"{list(g.col_twists)}")
-        for row in g.entries:
-            print("  [" + " | ".join(str(e) for e in row) + "]")
+def _mf_text(doc):
+    lines = []
+    for label in ("A", "B"):
+        g = doc[label]
+        lines.append(f"{label}: rows {g['row_twists']} cols "
+                     f"{g['col_twists']}")
+        lines += ["  [" + " | ".join(str(poly_from_json(e, label, False))
+                                     for e in row) + "]"
+                  for row in g["rows"]]
+    return lines
 
 
-def cmd_mf(args) -> int:
+def _verify_text(c):
+    return ["ok" if c["ok"] else "FAIL"] + [
+        f"  {x['where']} ({x['i']},{x['j']}): {x['defect']}"
+        for x in c["failures"]]
+
+
+def cmd_mf(args):
     if args.action == "build":
         m, lam = _build_mf(args)
-        if args.format == "text":
-            _print_mf_text(m)
-        else:
-            emit_json(mf_to_json(m, lam))
-        return 0
-
+        return mf_to_json(m, lam), _mf_text
     if len(args.what) != 1:
         raise SchemaError(f"mf {args.action}: expected exactly one FILE")
     m, lam = mf_from_json(_read_json(args.what[0]))
     if args.action == "verify":
         cert = mfmod.verify_mf(m)
-        if args.format == "json":
-            emit_json({"ok": cert.ok,
-                       "failures": [{"where": w, "i": i, "j": j,
-                                     "defect": str(dd)}
-                                    for w, i, j, dd in cert.failures]})
-        else:
-            print("ok" if cert.ok else "FAIL")
-            for w, i, j, dd in cert.failures:
-                print(f"  {w} ({i},{j}): {dd}")
-        return 0 if cert.ok else 1
+        report = {"ok": cert.ok,
+                  "failures": [{"where": w, "i": i, "j": j, "defect": str(dd)}
+                               for w, i, j, dd in cert.failures]}
+        if not cert.ok:
+            raise CheckFailed("verification failed", (report, _verify_text))
+        return report, _verify_text
     if args.action == "reduce":
         try:
             red = mfmod.reduce_mf(m)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.format == "text":
-            _print_mf_text(red)
-        else:
-            emit_json(mf_to_json(red, lam))
-        return 0
-    if args.action == "betti":
-        try:
-            t = mfmod.betti_of_mf(m)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            emit_json(betti_to_json(t))
-        elif args.format == "csv":
-            emit_csv_rows([(i, j, v) for (i, j), v in t.entries])
-        else:
-            for (i, j), v in t.entries:
-                print(f"b[{i},{j}] = {v}")
-        return 0
-    raise SchemaError(f"unknown mf action {args.action!r}")
+            raise CheckFailed(str(exc)) from None
+        return mf_to_json(red, lam), _mf_text
+    try:
+        t = mfmod.betti_of_mf(m)
+    except ValueError as exc:
+        raise CheckFailed(str(exc)) from None
+    return betti_to_json(t), lambda c: [
+        f"b[{e['i']},{e['j']}] = {e['beta']}" for e in c["entries"]]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mf", parents=[fmt])
     p.add_argument("action", choices=("build", "verify", "reduce", "betti"))
     p.add_argument("what", nargs="+")
-    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--lambda", dest="lam", default="sym")
     p.set_defaults(func=cmd_mf)
 
     p = sub.add_parser("ulrich", parents=[fmt])
@@ -521,16 +504,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except SchemaError as exc:
+        try:
+            output = args.func(args)
+        except CheckFailed as exc:
+            if exc.output is not None:
+                render(args, *exc.output)
+            raise
+        render(args, *output)
+    except (SchemaError, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, SchemaError) else 1
+    return 0
 
 
 def main() -> None:

@@ -132,9 +132,6 @@ class LVector:
         return LVector(tuple(xs), self.c + extra)
 
 
-CANONICAL_LVEC = LVector((1, 1, 1, 1), -2)             # omega-bar
-
-
 def line_bundle_class(v: LVector) -> K0Class:
     """Class of the line bundle O(v) in the (eps, delta) basis."""
     nf = v.normal_form()

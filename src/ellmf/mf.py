@@ -164,9 +164,10 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
     collects every defect instead of raising."""
     fails = []
     A, B, f = m.A, m.B, m.f
+    deg = f.total_degree()
     if A.col_twists != B.row_twists:
         fails.append(("twists", -1, -1, "A col twists != B row twists"))
-    if B.col_twists != tuple(u + 4 for u in A.row_twists):
+    if B.col_twists != tuple(u + deg for u in A.row_twists):
         fails.append(("twists", -1, -1,
                       "B col twists != A row twists + deg f"))
     for label, g in (("A", A), ("B", B)):
@@ -176,7 +177,7 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
         # For B*A the source copy of the factorization is twisted one
         # period down, hence the shift by deg f.
         for label, prod in (("A*B", A.compose(B)),
-                            ("B*A", B.compose(A.twist(4)))):
+                            ("B*A", B.compose(A.twist(deg)))):
             for i in range(prod.nrows):
                 for j in range(prod.ncols):
                     want = f if i == j else BivariatePoly.zero()
@@ -340,8 +341,9 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
             continue
         break
     A = GradedMatrix(tuple(tuple(r) for r in a_ent), tuple(au), tuple(av))
+    deg = m.f.total_degree()
     B = GradedMatrix(tuple(tuple(r) for r in b_ent), tuple(av),
-                     tuple(u + 4 for u in au))
+                     tuple(u + deg for u in au))
     return MatrixFactorization(A, B, m.f)
 
 
@@ -382,15 +384,10 @@ def lemma63_invariants(i: int) -> BranchReport:
     from .tables import rd_from_betti
     if i not in (1, 2, 3, 4):
         raise ValueError("index must be 1..4")
-    f, lin, _, _ = constants()
     mp = betti_of_mf(mf_Mp_reduced(BRANCH_POINTS[i - 1]))
-    li = lin[i - 1]
-    sub = betti_of_mf(MatrixFactorization(
-        GradedMatrix(((li,),), (1,), (2,)),
-        GradedMatrix(((exact_div(f, li),),), (2,), (5,)), f))
-    quot = betti_of_mf(MatrixFactorization(
-        GradedMatrix(((exact_div(f, li),),), (0,), (3,)),
-        GradedMatrix(((li,),), (3,), (4,)), f))
+    m = mf_linear(i)
+    sub = betti_of_mf(MatrixFactorization(m.A.twist(1), m.B.twist(1), m.f))
+    quot = betti_of_mf(MatrixFactorization(m.B.twist(-1), m.A.twist(3), m.f))
     mp_rd = rd_from_betti(mp)
     sub_rd = rd_from_betti(sub)
     quot_rd = rd_from_betti(quot)

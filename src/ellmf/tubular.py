@@ -18,10 +18,6 @@ S_MATRIX = ((1, 0), (1, 1))
 _LETTER = {"R": R_MATRIX, "S": S_MATRIX}
 
 
-def rs_matrices():
-    return R_MATRIX, S_MATRIX
-
-
 def _slope_R(q: Fraction) -> Fraction:
     return q / (q + 1)
 

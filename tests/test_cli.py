@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ellmf.cli import run
+from ellmf.cli import mf_to_json, run
+from ellmf.mf import mf_kst
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -202,3 +203,79 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     code, out = invoke(capsys, "mf", "verify", "-")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_slope_word_one_text(capsys):
+    code, out = invoke(capsys, "slope-word", "1")
+    assert code == 0
+    assert out == "word: (empty)\nmatrix: [[1,1],[0,1]]\n"
+
+
+@pytest.mark.parametrize("slot,where", [
+    (("f", 0, "x"), "f[0]"),
+    (("A", "rows", 0, 0, 0, "y"), "A.rows[0][0][0]"),
+    (("A", "row_twists", 0), "A.row_twists"),
+    (("B", "row_twists", 1), "B.row_twists"),
+])
+def test_mf_reader_rejects_bool(capsys, tmp_path, slot, where):
+    doc = mf_to_json(mf_kst(), None)
+    *outer, last = slot
+    holder = doc
+    for key in outer:
+        holder = holder[key]
+    assert holder[last] in (0, 1)
+    holder[last] = bool(holder[last])
+    path = tmp_path / "mf.json"
+    path.write_text(json.dumps(doc))
+    code = run(["mf", "verify", str(path)])
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry,where", [
+    ({"i": False, "j": 0, "beta": True}, "entries[0]"),
+    ({"i": 0, "j": False, "beta": 1}, "entries[0]"),
+    ({"i": 0, "j": 0, "beta": True}, "entries[0].beta"),
+])
+def test_betti_reader_rejects_bool(capsys, tmp_path, entry, where):
+    entries = [entry, {"i": 0, "j": 1, "beta": 1},
+               {"i": 1, "j": 2, "beta": 1}, {"i": 1, "j": 3, "beta": 1}]
+    path = tmp_path / "betti.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code = run(["classify-betti", str(path)])
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
+def test_mf_reader_checks_f(capsys, tmp_path):
+    def x_power(k):
+        return [{"x": k, "y": 0, "c": ["1"]}]
+    doc = {"lambda": "sym", "f": x_power(4),
+           "A": {"rows": [[x_power(1)]], "row_twists": [0], "col_twists": [1]},
+           "B": {"rows": [[x_power(3)]], "row_twists": [1], "col_twists": [4]}}
+    path = tmp_path / "x4.json"
+    path.write_text(json.dumps(doc))
+    for action in ("verify", "reduce", "betti"):
+        assert run(["mf", action, str(path)]) == 2
+        assert "f:" in capsys.readouterr().err
+    # A specialized file must carry f at its own lambda.
+    code, out = invoke(capsys, "mf", "build", "kst", "--lambda", "2",
+                       "--format", "json")
+    doc = json.loads(out)
+    doc["lambda"] = "3"
+    path.write_text(json.dumps(doc))
+    assert run(["mf", "verify", str(path)]) == 2
+    assert "f:" in capsys.readouterr().err
+
+
+def test_bad_input_exit_2(capsys, tmp_path):
+    assert run(["roots", "--m-max", "-1"]) == 2
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    assert run(["classify-betti", str(path)]) == 2
+    doc = mf_to_json(mf_kst(), None)
+    doc["A"]["rows"] = [5, 6]
+    path.write_text(json.dumps(doc))
+    assert run(["mf", "verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "A.rows" in err

@@ -156,6 +156,20 @@ def test_reduce_strips_trivial_summand():
     assert red.A.row_twists == (0,) and red.A.col_twists == (1,)
 
 
+def test_degree_read_from_f():
+    """verify_mf and reduce_mf take deg f from f, not from the quartic."""
+    f = X * X
+    m = MatrixFactorization(GradedMatrix(((X,),), (0,), (1,)),
+                            GradedMatrix(((X,),), (1,), (2,)), f)
+    assert verify_mf(m).ok
+    one, z = BivariatePoly.monomial(0, 0), BivariatePoly.zero()
+    padded = MatrixFactorization(
+        GradedMatrix(((X, z), (z, one)), (0, 0), (1, 0)),
+        GradedMatrix(((X, z), (z, f)), (1, 0), (2, 2)), f)
+    red = reduce_mf(padded)
+    assert (red.A, red.B) == (m.A, m.B)
+
+
 def test_betti_requires_minimal():
     with pytest.raises(ValueError):
         betti_of_mf(mf_cone(PointP1(ONE, ONE)))
