@@ -6,8 +6,8 @@ from .k0 import (                                        # noqa: F401
     DELTA, OMEGA, STRUCTURE_SHEAF, ZERO, K0Class, RootInfo, RootKind,
     chi, classify_root, degree, enumerate_real_roots, euler_pairing,
     real_root_gamma_parts, invariants, line_bundle_class, q_form, rank,
-    real_root_classes_with_rd, real_roots_bruteforce, simple_class, slope,
-    tensor_omega, twist_by_c,
+    real_root_classes_with_rd, simple_class, slope, tensor_omega,
+    twist_by_c,
 )
 from .shift import (                                     # noqa: F401
     SHIFT_MATRIX, Region, in_fundamental_domain, reduce_to_fundamental,

@@ -233,15 +233,12 @@ def enumerate_real_roots(m_max: int, n_min: int, n_max: int) -> list[K0Class]:
     return out
 
 
-def real_roots_bruteforce(bound: int) -> list[K0Class]:
-    """Exhaustive scan of the coordinate box [-B, B]^6 for classes with q = 1.
+def real_roots_bruteforce_box(a0_bound: int, a_bound: int, n_bound: int) -> list[K0Class]:
+    """Exhaustive scan of the coordinate box |a0| <= a0_bound,
+    |a_k| <= a_bound, |n| <= n_bound for classes with q = 1.
 
     Definitional oracle for enumerate_real_roots.
     """
-    return real_roots_bruteforce_box(bound, bound, bound)
-
-
-def real_roots_bruteforce_box(a0_bound: int, a_bound: int, n_bound: int) -> list[K0Class]:
     if min(a0_bound, a_bound, n_bound) < 0:
         raise ValueError("bounds must be nonnegative")
     out = []

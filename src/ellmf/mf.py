@@ -1,7 +1,10 @@
 """Graded matrix factorizations of the quartic X·Y·(X-Y)·(X-lambda·Y):
 constructors, symbolic verification, reduction to minimal form and Betti
-readout.  All arithmetic is exact over the lambda function field, so a
-passing verification holds for every admissible parameter value.
+readout.  All arithmetic is exact over the lambda function field.  A
+passing verification of entries polynomial in lambda holds for every
+admissible parameter value; a reduction holds only for generic lambda,
+since reduce_mf may pivot on an element that vanishes at an admissible
+value (see reduce_mf).
 """
 from __future__ import annotations
 
@@ -320,7 +323,14 @@ def _eliminate(m_ent, n_ent, i, j):
 
 def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     """Strip unit pivots until no scalar entries remain; the result is the
-    minimal factorization in the same stable class."""
+    minimal factorization in the same stable class.
+
+    Valid for generic lambda only: a pivot is any nonzero element of the
+    lambda function field, even one that vanishes at an admissible value.
+    Known case: the reduced mf_cone(PointP1(lambda - 2, 1)) has a
+    denominator vanishing at lambda = 2, so specializing it there raises
+    ZeroDivisionError, while reducing the cone specialized at 2 works.
+    """
     cert = verify_mf(m)
     if not cert.ok:
         raise ValueError(f"input fails verification: {cert.failures[0]}")

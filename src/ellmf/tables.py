@@ -222,90 +222,75 @@ class BettiClass:
         return f"{self.kind}({inner})@{self.shift}"
 
 
+# The five general shapes: their offsets over (a, b, a, b) at these cells.
+_GENERAL_CELLS = ((0, 0), (0, 1), (1, 2), (1, 3))
+_GENERAL_OFFSETS = {
+    TYPE_I: (0, 0, 0, 0),
+    TYPE_II: (1, 0, 0, 1),
+    TYPE_III: (0, 1, 1, 0),
+    TYPE_IV: (2, 0, 0, 2),
+    TYPE_V: (0, 2, 2, 0),
+}
+
+
 def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
     """Unshifted catalog table for a classification kind."""
     if kind in GENERAL_TYPES:
         a, b = params
         if a < 0 or b < 0:
             raise TableError("parameters must be nonnegative")
-        if kind == TYPE_I:
-            if b == 0:
-                raise TableError("type I requires b != 0")
-            d = {(0, 0): a, (0, 1): b, (1, 2): a, (1, 3): b}
-        elif kind == TYPE_II:
-            d = {(0, 0): a + 1, (0, 1): b, (1, 2): a, (1, 3): b + 1}
-        elif kind == TYPE_III:
-            d = {(0, 0): a, (0, 1): b + 1, (1, 2): a + 1, (1, 3): b}
-        elif kind == TYPE_IV:
-            if (b - a) % 2 == 0:
-                raise TableError("type IV requires b - a odd")
-            d = {(0, 0): a + 2, (0, 1): b, (1, 2): a, (1, 3): b + 2}
-        else:
-            if (b - a) % 2 == 0:
-                raise TableError("type V requires b - a odd")
-            d = {(0, 0): a, (0, 1): b + 2, (1, 2): a + 2, (1, 3): b}
-        return BettiTable.from_dict(d)
+        if kind == TYPE_I and b == 0:
+            raise TableError("type I requires b != 0")
+        if kind in (TYPE_IV, TYPE_V) and (b - a) % 2 == 0:
+            raise TableError(f"type {kind} requires b - a odd")
+        return BettiTable(tuple(
+            (cell, v + k) for cell, v, k in
+            zip(_GENERAL_CELLS, (a, b, a, b), _GENERAL_OFFSETS[kind])))
     (r,) = params
     if r <= 0:
         raise TableError("first-kind rank must be positive")
-    if kind == FIRST_KIND_ODD_A:
-        if r % 2 == 0:
-            raise TableError("rank parity")
-        d = {(0, 0): 1, (0, 1): r - 1, (0, 2): 1, (1, 3): r + 1}
-    elif kind == FIRST_KIND_ODD_B:
-        if r % 2 == 0:
-            raise TableError("rank parity")
-        d = {(0, 0): r + 1, (1, 1): 1, (1, 2): r - 1, (1, 3): 1}
-    elif kind == FIRST_KIND_EVEN_A:
-        if r % 2 == 1:
-            raise TableError("rank parity")
-        d = {(0, 0): 1, (0, 1): r, (1, 3): r, (1, 4): 1}
-    elif kind == FIRST_KIND_EVEN_B:
-        if r % 2 == 1:
-            raise TableError("rank parity")
-        # Suspension of the even-A shape; forced by rank/degree recovery.
-        d = {(0, 0): r, (0, 1): 1, (1, 1): 1, (1, 2): r}
-    else:
+    if kind not in FIRST_KIND_TYPES:
         raise TableError(f"unknown kind {kind!r}")
+    if r % 2 != (kind in (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B)):
+        raise TableError("rank parity")
+    d = {
+        FIRST_KIND_ODD_A: {(0, 0): 1, (0, 1): r - 1, (0, 2): 1, (1, 3): r + 1},
+        FIRST_KIND_ODD_B: {(0, 0): r + 1, (1, 1): 1, (1, 2): r - 1, (1, 3): 1},
+        FIRST_KIND_EVEN_A: {(0, 0): 1, (0, 1): r, (1, 3): r, (1, 4): 1},
+        # Suspension of the even-A shape; forced by rank/degree recovery.
+        FIRST_KIND_EVEN_B: {(0, 0): r, (0, 1): 1, (1, 1): 1, (1, 2): r},
+    }[kind]
     return BettiTable.from_dict(d)
 
 
-def _match_at(e: dict[tuple[int, int], int]):
-    """Try every template against an already-shifted entry dict."""
-    matches = []
-
-    def attempt(kind, params):
-        try:
-            if template_table(kind, params).as_dict() == e:
-                matches.append((kind, params))
-        except TableError:
-            pass
-
-    attempt(TYPE_I, (e.get((0, 0), 0), e.get((0, 1), 0)))
-    attempt(TYPE_II, (e.get((1, 2), 0), e.get((0, 1), 0)))
-    attempt(TYPE_III, (e.get((0, 0), 0), e.get((1, 3), 0)))
-    attempt(TYPE_IV, (e.get((1, 2), 0), e.get((0, 1), 0)))
-    attempt(TYPE_V, (e.get((0, 0), 0), e.get((1, 3), 0)))
-    attempt(FIRST_KIND_ODD_A, (e.get((1, 3), 0) - 1,))
-    attempt(FIRST_KIND_ODD_B, (e.get((0, 0), 0) - 1,))
-    attempt(FIRST_KIND_EVEN_A, (e.get((0, 1), 0),))
-    attempt(FIRST_KIND_EVEN_B, (e.get((0, 0), 0),))
-    return matches
-
-
 def normalize_and_classify(t: BettiTable) -> BettiClass:
-    """Shift-search over the support window and match against the nine
-    catalog shapes; exactly one template may match."""
+    """Decode a table into the one catalog class it is a shift of.
+
+    Every catalog table's support starts at j = 0 or j = 1, so the shift
+    can only be min j or min j - 1.  At each of those two shifts the
+    parameters are read off in closed form, (a, b) = (min(b00, b12),
+    min(b01, b13)) for types I-V and r = sum_j b0j - 1 for the first-kind
+    shapes, and each candidate is confirmed against template_table, the
+    only statement of the shapes.  Exactly one candidate may match.
+    """
     if t.is_empty():
         raise TableError("empty table")
     if not t.is_balanced():
         raise TableError("column sums differ")
-    js = t.support()
-    matches = []
-    for m in range(min(js) - 4, max(js) + 5):
-        shifted = translate_betti(t, m).as_dict()
-        for kind, params in _match_at(shifted):
-            matches.append(BettiClass(kind, params, m))
+    r = sum(v for (i, _), v in t.entries if i == 0) - 1
+    lo, matches = t.support()[0], []
+    for m in (lo - 1, lo):
+        shifted = translate_betti(t, m)
+        e = shifted.as_dict()
+        ab = (min(e.get((0, 0), 0), e.get((1, 2), 0)),
+              min(e.get((0, 1), 0), e.get((1, 3), 0)))
+        for kind, params in ([(k, ab) for k in GENERAL_TYPES]
+                             + [(k, (r,)) for k in FIRST_KIND_TYPES]):
+            try:
+                if template_table(kind, params) == shifted:
+                    matches.append(BettiClass(kind, params, m))
+            except TableError:
+                pass
     if not matches:
         raise TableError("not an indecomposable table")
     if len(matches) > 1:

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,17 @@ def test_classify_failure_exit_code(capsys, tmp_path):
     code = run(["classify-betti", str(path)])
     capsys.readouterr()
     assert code == 1
+
+
+def test_classify_wide_spread_fails_fast(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"entries": [
+        {"i": 0, "j": 0, "beta": 1}, {"i": 1, "j": 10**12, "beta": 1}]}))
+    start = time.perf_counter()
+    code = run(["classify-betti", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: classification failed: ")
 
 
 def test_bad_rational_rejected(capsys):

@@ -7,8 +7,8 @@ from ellmf.k0 import (
     DELTA, OMEGA, STRUCTURE_SHEAF, K0Class, RootKind, chi, classify_root,
     degree, enumerate_real_roots, euler_pairing, real_root_gamma_parts,
     invariants, line_bundle_class, LVector, q_form, rank,
-    real_root_classes_with_rd, real_roots_bruteforce, simple_class, slope,
-    tensor_omega, twist_by_c,
+    real_root_classes_with_rd, real_roots_bruteforce_box, simple_class,
+    slope, tensor_omega, twist_by_c,
 )
 
 
@@ -136,7 +136,7 @@ def test_gamma_parts_first_row():
 
 def test_enumeration_matches_bruteforce_small():
     enum = {c.coords for c in enumerate_real_roots(1, -2, 2)}
-    brute = {c.coords for c in real_roots_bruteforce(2)}
+    brute = {c.coords for c in real_roots_bruteforce_box(2, 2, 2)}
     # The brute-force box is smaller, so it must be contained.
     assert brute <= enum
     for coords in enum:
@@ -155,7 +155,7 @@ def test_real_root_classes_with_rd():
 
 
 def test_real_root_classes_complete():
-    wanted = {c.coords for c in real_roots_bruteforce(3)
+    wanted = {c.coords for c in real_roots_bruteforce_box(3, 3, 3)
               if rank(c) == 1 and degree(c) == 1}
     got = {c.coords for c in real_root_classes_with_rd(1, 1)}
     assert wanted <= got

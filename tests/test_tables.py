@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -162,6 +163,50 @@ def test_classification_rejects():
         normalize_and_classify(B({}))
     with pytest.raises(TableError):
         normalize_and_classify(B({(0, 0): 2, (1, 1): 1}))
+
+
+def test_classification_ignores_support_spread():
+    # Only two shifts are tried, however far apart the support lies.
+    start = time.perf_counter()
+    with pytest.raises(TableError):
+        normalize_and_classify(B({(0, 0): 1, (1, 10**12): 1}))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_catalog_support_starts_at_zero_or_one():
+    # The decoder relies on this: a table can be a catalog table shifted
+    # by m only for m = min j or m = min j - 1.
+    for _, t in catalog(6, 6, 20):
+        assert t.support()[0] in (0, 1)
+
+
+def test_classification_matches_shift_oracle():
+    # Independent oracle built from the templates alone: every catalog
+    # table at every shift in a window, mapped to its class triple.
+    oracle, n = {}, 0
+    for c, t in catalog(6, 6, 20):
+        for m in range(-4, 8):
+            oracle[translate_betti(t, -m)] = (c.kind, c.params, m)
+            n += 1
+    assert len(oracle) == n  # no table carries two classes
+    for t, triple in oracle.items():
+        got = normalize_and_classify(t)
+        assert (got.kind, got.params, got.shift) == triple
+    # Small random tables lie inside the oracle's window, so each one
+    # classifies exactly when the oracle lists it.
+    rng = random.Random(47)
+    hits = 0
+    for _ in range(20000):
+        t = B({(rng.randint(0, 1), rng.randint(-3, 7)): rng.randint(1, 4)
+               for _ in range(rng.randint(1, 3))})
+        if t in oracle:
+            hits += 1
+            got = normalize_and_classify(t)
+            assert (got.kind, got.params, got.shift) == oracle[t]
+        else:
+            with pytest.raises(TableError):
+                normalize_and_classify(t)
+    assert hits > 0
 
 
 def test_rd_examples():
