@@ -105,6 +105,28 @@ class GradedMatrix:
                                   for row in self.entries),
                             self.row_twists, self.col_twists)
 
+    def minor(self, i: int, j: int) -> "GradedMatrix":
+        """Drop row i and column j together with their twists."""
+        return GradedMatrix(tuple(row[:j] + row[j + 1:]
+                                  for r, row in enumerate(self.entries)
+                                  if r != i),
+                            self.row_twists[:i] + self.row_twists[i + 1:],
+                            self.col_twists[:j] + self.col_twists[j + 1:])
+
+    def schur_complement(self, i: int, j: int) -> "GradedMatrix":
+        """Cancel the unit u at (i, j): the (i, j) minor minus
+        (column j) * u^-1 * (row i)."""
+        inv = self.entries[i][j].as_dict()[(0, 0)].inverse()
+        top = self.entries[i]
+        rows = []
+        for r, row in enumerate(self.entries):
+            if r != i and not row[j].is_zero():
+                coef = row[j].scale(inv)
+                row = tuple(a - coef * b for a, b in zip(row, top))
+            rows.append(row)
+        return GradedMatrix(rows, self.row_twists,
+                            self.col_twists).minor(i, j)
+
 
 def block_lower(top_left: GradedMatrix, bottom_left: GradedMatrix,
                 bottom_right: GradedMatrix) -> GradedMatrix:
@@ -170,7 +192,9 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
     deg = f.total_degree()
     if A.col_twists != B.row_twists:
         fails.append(("twists", -1, -1, "A col twists != B row twists"))
-    if B.col_twists != tuple(u + deg for u in A.row_twists):
+    if deg is None:
+        fails.append(("f", -1, -1, "f is zero"))
+    elif B.col_twists != tuple(u + deg for u in A.row_twists):
         fails.append(("twists", -1, -1,
                       "B col twists != A row twists + deg f"))
     for label, g in (("A", A), ("B", B)):
@@ -279,51 +303,27 @@ def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
 
 # --- reduction to minimal form -------------------------------------------
 
-def _as_lists(g: GradedMatrix):
-    return [list(row) for row in g.entries]
-
-
-def _find_scalar(entries):
-    for i, row in enumerate(entries):
+def _find_scalar(g: GradedMatrix):
+    for i, row in enumerate(g.entries):
         for j, e in enumerate(row):
             if e.is_scalar():
                 return i, j
     return None
 
 
-def _eliminate(m_ent, n_ent, i, j):
-    """Clear row i / column j of M around the scalar pivot M[i][j],
-    mirroring each elementary operation inversely on N so that both
-    products M*N and N*M are preserved; then drop the pivot pair."""
-    pivot = m_ent[i][j]
-    inv = pivot.as_dict()[(0, 0)].inverse()
-    ncols = len(m_ent[0])
-    nrows = len(m_ent)
-    for r in range(nrows):
-        if r == i or m_ent[r][j].is_zero():
-            continue
-        coef = m_ent[r][j].scale(inv)
-        m_ent[r] = [a - coef * b for a, b in zip(m_ent[r], m_ent[i])]
-        for s in range(len(n_ent)):
-            n_ent[s][i] = n_ent[s][i] + coef * n_ent[s][r]
-    for t in range(ncols):
-        if t == j or m_ent[i][t].is_zero():
-            continue
-        coef = m_ent[i][t].scale(inv)
-        for r in range(nrows):
-            m_ent[r][t] = m_ent[r][t] - coef * m_ent[r][j]
-        n_ent[j] = [a + coef * b for a, b in zip(n_ent[j], n_ent[t])]
-    del m_ent[i]
-    for row in m_ent:
-        del row[j]
-    del n_ent[j]
-    for row in n_ent:
-        del row[i]
-
-
 def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     """Strip unit pivots until no scalar entries remain; the result is the
     minimal factorization in the same stable class.
+
+    Cancelling a unit u of M, with N the partner whose rows follow M's
+    columns, is exact without any base change on N.  Write, up to
+    reordering, M = [[u, r], [c, M0]] and N = [[*, n], [*, N0]].  Then
+    M*N = f*I gives u*n + r*N0 = 0, so n = -u^-1*r*N0 and
+    (M0 - c*u^-1*r)*N0 = f*I (N*M gives the other order alike): the
+    reduced M is the Schur complement and its partner is the minor N0,
+    twists included.
+    The units of A are exhausted first, then those of B; a B step only
+    deletes rows and columns of A, so it never creates a unit there.
 
     Valid for generic lambda only: a pivot is any nonzero element of the
     lambda function field, even one that vanishes at an admissible value.
@@ -334,32 +334,16 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     cert = verify_mf(m)
     if not cert.ok:
         raise ValueError(f"input fails verification: {cert.failures[0]}")
-    a_ent, b_ent = _as_lists(m.A), _as_lists(m.B)
-    au, av = list(m.A.row_twists), list(m.A.col_twists)
-    while True:
-        hit = _find_scalar(a_ent)
-        if hit is not None:
-            i, j = hit
-            _eliminate(a_ent, b_ent, i, j)
-            del au[i], av[j]
-            continue
-        hit = _find_scalar(b_ent)
-        if hit is not None:
-            i, j = hit
-            _eliminate(b_ent, a_ent, i, j)
-            del av[i], au[j]
-            continue
-        break
-    A = GradedMatrix(tuple(tuple(r) for r in a_ent), tuple(au), tuple(av))
-    deg = m.f.total_degree()
-    B = GradedMatrix(tuple(tuple(r) for r in b_ent), tuple(av),
-                     tuple(u + deg for u in au))
+    A, B = m.A, m.B
+    while (hit := _find_scalar(A)) is not None:
+        A, B = A.schur_complement(*hit), B.minor(hit[1], hit[0])
+    while (hit := _find_scalar(B)) is not None:
+        B, A = B.schur_complement(*hit), A.minor(hit[1], hit[0])
     return MatrixFactorization(A, B, m.f)
 
 
 def is_minimal(m: MatrixFactorization) -> bool:
-    return (_find_scalar(_as_lists(m.A)) is None
-            and _find_scalar(_as_lists(m.B)) is None)
+    return _find_scalar(m.A) is None and _find_scalar(m.B) is None
 
 
 def betti_of_mf(m: MatrixFactorization) -> BettiTable:

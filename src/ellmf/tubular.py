@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .k0 import K0Class, euler_pairing
 from .shift import mat_mul
@@ -69,27 +69,18 @@ def word_for_slope(q) -> MutationWord:
     return MutationWord(tuple(letters))
 
 
-# Inverse of S, used to reach nonpositive slopes.
-S_INVERSE = ((1, 0), (-1, 1))
-
-
 def phi_from_infinity(q):
     """Unimodular matrix carrying the slope-infinity tube to slope q.
 
     For q > 0 this is the word matrix composed with the R-step from
-    infinity; for q <= 0 compose with the minimal number of inverse
-    S-steps.
+    infinity.  For q <= 0, m = floor(-q) + 1 is the fewest S-steps making
+    q + m positive, and S^-m = ((1, 0), (-m, 1)) is applied to the matrix
+    for q + m.
     """
     q = Fraction(q)
-    if q > 0:
-        return mat_mul(word_for_slope(q).matrix(), R_MATRIX)
-    m = 1
-    while q + m <= 0:
-        m += 1
-    out = phi_from_infinity(q + m)
-    for _ in range(m):
-        out = mat_mul(S_INVERSE, out)
-    return out
+    m = 0 if q > 0 else floor(-q) + 1
+    (a, b), (c, d) = mat_mul(word_for_slope(q + m).matrix(), R_MATRIX)
+    return (a, b), (c - m * a, d - m * b)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ import pytest
 
 from ellmf.mf import (
     BRANCH_POINTS, GradedMatrix, MatrixFactorization, PointP1, betti_of_mf,
-    constants, lemma63_invariants, mf_cone, mf_kst, mf_linear,
-    mf_Mp_reduced, phi_psi_maps, reduce_mf, verify_mf,
+    block_lower, constants, is_minimal, lemma63_invariants, mf_cone, mf_kst,
+    mf_linear, mf_Mp_reduced, phi_psi_maps, reduce_mf, verify_mf,
 )
 from ellmf.poly import BivariatePoly, X, Y, exact_div
 from ellmf.qlambda import LAMBDA, ONE, Scalar
@@ -168,6 +168,74 @@ def test_degree_read_from_f():
         GradedMatrix(((X, z), (z, f)), (1, 0), (2, 2)), f)
     red = reduce_mf(padded)
     assert (red.A, red.B) == (m.A, m.B)
+
+
+def _direct_sum(m, a, b):
+    """(m.A + a, m.B + b) as block diagonal matrices."""
+    def diag(top, bot):
+        z = GradedMatrix(((BivariatePoly.zero(),) * top.ncols,) * bot.nrows,
+                         bot.row_twists, top.col_twists)
+        return block_lower(top, z, bot)
+    return MatrixFactorization(diag(m.A, a), diag(m.B, b), m.f)
+
+
+def _elementary(twists, l, k, c):
+    """I + c*E_lk on summands with the given twists."""
+    n = len(twists)
+    return GradedMatrix(tuple(
+        tuple(BivariatePoly.monomial(0, 0, 1 if r == s else c)
+              if r == s or (r, s) == (l, k) else BivariatePoly.zero()
+              for s in range(n)) for r in range(n)), twists, twists)
+
+
+def _mix(m, side, l, k, c):
+    """Base change by E = I + c*E_lk on the rows (side 0) or columns
+    (side 1) of A, undone by E^-1 on B."""
+    if side == 0:
+        e, inv = (_elementary(m.A.row_twists, l, k, s) for s in (c, -c))
+        return MatrixFactorization(
+            e.compose(m.A), m.B.compose(inv.twist(m.f.total_degree())), m.f)
+    e, inv = (_elementary(m.A.col_twists, l, k, s) for s in (c, -c))
+    return MatrixFactorization(m.A.compose(e), inv.compose(m.B), m.f)
+
+
+def test_reduce_units_hidden_by_base_change():
+    """Trivial summands (1, f) and (f, 1) mixed into a minimal factorization
+    by constant base changes put units in the rows of the minimal summand,
+    off the direct-sum blocks; A and B each need two pivots."""
+    base = mf_Mp_reduced(PointP1(LAMBDA, ONE))
+    one, f = BivariatePoly.monomial(0, 0), base.f
+    m = base
+    for t in (1, 0):
+        m = _direct_sum(m, GradedMatrix(((one,),), (t,), (t,)),
+                        GradedMatrix(((f,),), (t,), (t + 4,)))
+    for t in (-2, -1):
+        m = _direct_sum(m, GradedMatrix(((f,),), (t,), (t + 4,)),
+                        GradedMatrix(((one,),), (t + 4,), (t + 4,)))
+    assert m.A.row_twists == (1, 0, 1, 0, -2, -1)
+    assert m.A.col_twists == (2, 3, 1, 0, 2, 3)
+    for side, l, k, c in ((0, 0, 2, 2), (0, 1, 3, 1),
+                          (1, 0, 4, 1), (1, 1, 5, -3)):
+        m = _mix(m, side, l, k, c)
+    assert verify_mf(m).ok
+    assert m.A.entry(0, 2).is_scalar() and m.A.entry(1, 3).is_scalar()
+    assert m.B.entry(0, 4).is_scalar() and m.B.entry(1, 5).is_scalar()
+    red = reduce_mf(m)
+    assert verify_mf(red).ok and is_minimal(red)
+    assert betti_of_mf(red) == betti_of_mf(base)
+    for g, h in ((red.A, base.A), (red.B, base.B)):
+        assert sorted(g.row_twists) == sorted(h.row_twists)
+        assert sorted(g.col_twists) == sorted(h.col_twists)
+
+
+def test_verify_reports_zero_f():
+    m = mf_linear(1)
+    zero_f = MatrixFactorization(m.A, m.B, BivariatePoly.zero())
+    cert = verify_mf(zero_f)
+    assert not cert.ok
+    assert ("f", -1, -1, "f is zero") in cert.failures
+    with pytest.raises(ValueError):
+        reduce_mf(zero_f)
 
 
 def test_betti_requires_minimal():

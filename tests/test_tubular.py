@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,17 @@ def test_phi_unimodular_and_correct():
         assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
         r, d = mat_apply(m, (0, 1))
         assert r > 0 and Fraction(d, r) == q
+
+
+def test_phi_from_infinity_far_negative_slope():
+    """q <= 0 takes one S^-m step, not |q| unit steps."""
+    q = Fraction(-10**9)
+    start = time.perf_counter()
+    m = phi_from_infinity(q)
+    assert time.perf_counter() - start < 1.0
+    assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+    r, d = mat_apply(m, (0, 1))
+    assert r > 0 and Fraction(d, r) == q
 
 
 def test_bad_word_letters():
