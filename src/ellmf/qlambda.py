@@ -1,18 +1,28 @@
 """Exact rational functions in one parameter over the rationals.
 
-A Scalar is num/den with both univariate polynomials in the parameter
-(coefficient tuples over Fraction, low degree first), kept coprime with a
-monic denominator.  This is the coefficient field for all matrix work, so
-identities proved here hold for every admissible parameter value at once.
+A Scalar is N/D with N, D integer polynomials in the parameter (tuples of
+ints, low degree first), held in the unique form where N and D are coprime
+over the rationals, D has a positive leading coefficient and the integer
+coefficients of N and D together have gcd 1.  Zero is () / (1,).
+
+Arithmetic runs on Python ints, fraction-free in the style of Bareiss: a
+sum over equal or constant denominators is a scale-and-add followed by one
+integer-content gcd, a product is an integer convolution, and the
+polynomial gcd (a primitive pseudo-remainder sequence) runs only when the
+denominator depends on the parameter.  The public num/den, as Fraction
+tuples with a monic den, are derived from N/D on demand.
+
+This is the coefficient field for all matrix work, so identities proved
+here hold for every admissible parameter value at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Poly = tuple[Fraction, ...]        # coefficient of lambda^k at index k
+ZPoly = tuple[int, ...]            # the same over the integers, trimmed
 
-P_ZERO: Poly = ()
 P_ONE: Poly = (Fraction(1),)
 
 
@@ -23,149 +33,251 @@ def p_trim(c) -> Poly:
     return tuple(c)
 
 
-def p_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return p_trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
-                   for k in range(n)])
+# --- integer polynomials ----------------------------------------------------
+
+def _z_add(a: ZPoly, b: ZPoly) -> ZPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, v in enumerate(b):
+        out[k] += v
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def p_neg(a: Poly) -> Poly:
-    return tuple(-v for v in a)
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return P_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _z_mul(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Convolution; over the integers the leading product never vanishes."""
+    if len(a) == 1:
+        c = a[0]
+        return tuple(c * v for v in b)
+    if len(b) == 1:
+        c = b[0]
+        return tuple(c * v for v in a)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return p_trim(out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
-def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def _z_primitive(a: ZPoly) -> ZPoly:
+    """a divided by its content, leading coefficient made positive."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(v // c for v in a)
+
+
+def _z_prem(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Pseudo-remainder of a by b, for len(a) >= len(b)."""
     r = list(a)
-    while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
+    lead, m = b[-1], len(b)
+    while len(r) >= m:
+        c, k = r[-1], len(r) - m
+        r = [v * lead for v in r]
         for i, v in enumerate(b):
             r[k + i] -= c * v
-        while r and r[-1] == 0:
+        while r and not r[-1]:
             r.pop()
-    return p_trim(q), p_trim(r)
+    return tuple(r)
 
 
-def p_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, p_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(v / lead for v in a)
-    return a
+def _z_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Primitive gcd over the rationals of two nonzero polynomials, by the
+    primitive pseudo-remainder sequence."""
+    a, b = _z_primitive(a), _z_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _z_prem(a, b)
+        if not r:
+            return b
+        a, b = b, _z_primitive(r)
+    return (1,)
 
 
-def p_eval(a: Poly, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for v in reversed(a):
-        out = out * x + v
-    return out
+def _z_exact_div(a: ZPoly, g: ZPoly) -> ZPoly:
+    """a / g for a primitive g dividing a over the rationals; by Gauss's
+    lemma the quotient has integer coefficients."""
+    r = list(a)
+    lead, m = g[-1], len(g)
+    q = [0] * (len(a) - m + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + m - 1] // lead
+        q[k] = c
+        for i, v in enumerate(g):
+            r[k + i] -= c * v
+    return tuple(q)
 
 
-def p_const(v) -> Poly:
-    return p_trim([Fraction(v)])
+# --- canonical forms --------------------------------------------------------
+
+def _make(n: ZPoly, d: ZPoly) -> "Scalar":
+    s = _new(Scalar)
+    _set_n(s, n)
+    _set_d(s, d)
+    return s
 
 
-@dataclass(frozen=True)
+def _canon(n: ZPoly, d: ZPoly) -> "Scalar":
+    """The canonical form of N/D; the polynomial gcd runs only when D
+    depends on the parameter."""
+    if not n:
+        return ZERO
+    if len(d) > 1:
+        g = _z_gcd(n, d)
+        if len(g) > 1:
+            n, d = _z_exact_div(n, g), _z_exact_div(d, g)
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(v // c for v in n)
+        d = tuple(v // c for v in d)
+    return _make(n, d)
+
+
+def _sum(n1: ZPoly, d1: ZPoly, n2: ZPoly, d2: ZPoly) -> "Scalar":
+    if not n1:
+        return _make(n2, d2)
+    if not n2:
+        return _make(n1, d1)
+    if d1 == d2:
+        n = _z_add(n1, n2)
+        if d1 == (1,):
+            return _make(n, d1) if n else ZERO
+        return _canon(n, d1)
+    if len(d1) == 1 and len(d2) == 1:
+        a, b = d1[0], d2[0]
+        g = gcd(a, b)
+        return _canon(_z_add(_z_mul(n1, (b // g,)), _z_mul(n2, (a // g,))),
+                      (a // g * b,))
+    return _canon(_z_add(_z_mul(n1, d2), _z_mul(n2, d1)), _z_mul(d1, d2))
+
+
 class Scalar:
-    """num/den in canonical form: coprime, den monic and nonzero."""
+    """N/D in the canonical form of the module docstring."""
 
-    num: Poly
-    den: Poly = P_ONE
+    __slots__ = ("_n", "_d")
 
-    def __post_init__(self):
-        num, den = p_trim(self.num), p_trim(self.den)
+    def __init__(self, num, den: Poly = P_ONE):
+        """From Fraction (or int) coefficient sequences, low degree first."""
+        num, den = p_trim(num), p_trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = P_ONE
-        else:
-            g = p_gcd(num, den)
-            if len(g) > 1 or g[0] != 1:
-                num = p_divmod(num, g)[0]
-                den = p_divmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(v / lead for v in num)
-                den = tuple(v / lead for v in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        scale = lcm(*(v.denominator for v in num + den))
+        s = _canon(tuple(v.numerator * (scale // v.denominator) for v in num),
+                   tuple(v.numerator * (scale // v.denominator) for v in den))
+        _set_n(self, s._n)
+        _set_d(self, s._d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    @property
+    def num(self) -> Poly:
+        lead = self._d[-1]
+        return tuple(Fraction(v, lead) for v in self._n)
+
+    @property
+    def den(self) -> Poly:
+        lead = self._d[-1]
+        return tuple(Fraction(v, lead) for v in self._d)
+
+    def __repr__(self) -> str:
+        return f"Scalar(num={self.num!r}, den={self.den!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self._n == other._n and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._n, self._d))
 
     @classmethod
     def of(cls, v) -> "Scalar":
         if isinstance(v, Scalar):
             return v
-        return cls(p_const(v))
+        v = Fraction(v)
+        return _make((v.numerator,), (v.denominator,)) if v else ZERO
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._n)
 
     def __add__(self, other):
-        other = Scalar.of(other)
-        return Scalar(p_add(p_mul(self.num, other.den),
-                            p_mul(other.num, self.den)),
-                      p_mul(self.den, other.den))
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        return _sum(self._n, self._d, other._n, other._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(p_neg(self.num), self.den)
+        return _make(tuple(-v for v in self._n), self._d)
 
     def __sub__(self, other):
-        return self + (-Scalar.of(other))
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        return _sum(self._n, self._d, tuple(-v for v in other._n), other._d)
 
     def __rsub__(self, other):
-        return Scalar.of(other) + (-self)
+        return Scalar.of(other) - self
 
     def __mul__(self, other):
-        other = Scalar.of(other)
-        return Scalar(p_mul(self.num, other.num), p_mul(self.den, other.den))
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if not n1 or not n2:
+            return ZERO
+        if d1 == d2 == (1,):
+            return _make(_z_mul(n1, n2), d1)
+        return _canon(_z_mul(n1, n2), _z_mul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self.num:
+        n, d = self._n, self._d
+        if not n:
             raise ZeroDivisionError("inverting zero")
-        return Scalar(self.den, self.num)
+        if n[-1] < 0:
+            return _make(tuple(-v for v in d), tuple(-v for v in n))
+        return _make(d, n)
 
     def __truediv__(self, other):
         return self * Scalar.of(other).inverse()
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == P_ONE
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar depends on the parameter")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
     def specialize(self, value: Fraction) -> "Scalar":
         value = Fraction(value)
-        d = p_eval(self.den, value)
-        if d == 0:
+        n, d = self._n, self._d
+        # Both sides times q^m, with value = p/q and m the larger degree.
+        p, q, m = value.numerator, value.denominator, max(len(n), len(d)) - 1
+        weights = [p ** k * q ** (m - k) for k in range(m + 1)]
+        dv = sum(v * w for v, w in zip(d, weights))
+        if not dv:
             raise ZeroDivisionError(f"denominator vanishes at {value}")
-        return Scalar.of(p_eval(self.num, value) / d)
+        return Scalar.of(Fraction(sum(v * w for v, w in zip(n, weights)), dv))
 
     def lambda_coeffs(self) -> Poly:
         """Numerator coefficients; requires a polynomial (denominator 1)."""
-        if self.den != P_ONE:
+        if len(self._d) > 1:
             raise ValueError("scalar is not polynomial in the parameter")
         return self.num
 
 
-ZERO = Scalar(P_ZERO)
-ONE = Scalar(P_ONE)
-LAMBDA = Scalar((Fraction(0), Fraction(1)))
+_new = object.__new__
+_set_n = Scalar._n.__set__
+_set_d = Scalar._d.__set__
+
+ZERO = _make((), (1,))
+ONE = _make((1,), (1,))
+LAMBDA = _make((0, 1), (1,))

@@ -15,6 +15,10 @@ class Region(Enum):
     OUTSIDE = "outside"
 
 
+class OrbitError(ValueError):
+    """A shift orbit that does not meet the fundamental domain exactly once."""
+
+
 def mat_mul(m1, m2):
     return tuple(tuple(sum(m1[i][k] * m2[k][j] for k in range(2))
                        for j in range(2)) for i in range(2))
@@ -64,5 +68,5 @@ def reduce_to_fundamental(p: tuple[int, int]) -> tuple[tuple[int, int], int]:
     hits = [(shift_rd(p, k), k) for k in range(4)
             if in_fundamental_domain(shift_rd(p, k))]
     if len(hits) != 1:
-        raise AssertionError(f"orbit of {p} meets the domain {len(hits)} times")
+        raise OrbitError(f"orbit of {p} meets the domain {len(hits)} times")
     return hits[0]

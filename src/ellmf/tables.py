@@ -294,7 +294,7 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
     if not matches:
         raise TableError("not an indecomposable table")
     if len(matches) > 1:
-        raise AssertionError(f"ambiguous classification: {matches}")
+        raise TableError(f"ambiguous classification: {matches}")
     return matches[0]
 
 

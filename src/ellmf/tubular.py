@@ -15,7 +15,15 @@ from .shift import mat_mul
 
 R_MATRIX = ((1, 1), (0, 1))
 S_MATRIX = ((1, 0), (1, 1))
-_LETTER = {"R": R_MATRIX, "S": S_MATRIX}
+
+
+def _runs_matrix(runs):
+    """Product of the powers R^k = ((1, k), (0, 1)) and S^k = ((1, 0), (k, 1))
+    over (letter, k) runs, outermost first."""
+    out = ((1, 0), (0, 1))
+    for ch, k in runs:
+        out = mat_mul(out, ((1, k), (0, 1)) if ch == "R" else ((1, 0), (k, 1)))
+    return out
 
 
 def _slope_R(q: Fraction) -> Fraction:
@@ -41,10 +49,7 @@ class MutationWord:
         return "".join(self.letters)
 
     def matrix(self):
-        out = ((1, 0), (0, 1))
-        for ch in self.letters:
-            out = mat_mul(out, _LETTER[ch])
-        return out
+        return _runs_matrix((ch, 1) for ch in self.letters)
 
     def apply_to_slope(self, q: Fraction) -> Fraction:
         for ch in reversed(self.letters):
@@ -52,34 +57,46 @@ class MutationWord:
         return q
 
 
+def _slope_runs(q: Fraction):
+    """Runs (letter, k) of the word sending slope 1 to q > 0, outermost
+    first, by the reverse Euclidean walk on q = a/b: while a > b strip the
+    k = (a - 1) // b outer S-steps that keep q >= 1, while a < b the
+    k = (b - 1) // a outer R-steps, until q = 1.  The k are the partial
+    quotients of q, the last one less one."""
+    a, b = q.numerator, q.denominator
+    runs = []
+    while a != b:
+        if a > b:
+            k = (a - 1) // b
+            runs.append(("S", k))
+            a -= k * b
+        else:
+            k = (b - 1) // a
+            runs.append(("R", k))
+            b -= k * a
+    return runs
+
+
 def word_for_slope(q) -> MutationWord:
-    """The unique word sending slope 1 to q > 0, by the reverse Euclidean
-    walk: strip an outer S while q > 1 and an outer R while q < 1."""
+    """The unique word sending slope 1 to q > 0: strip an outer S while
+    q > 1 and an outer R while q < 1."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("slope must be positive")
-    letters = []
-    while q != 1:
-        if q > 1:
-            letters.append("S")
-            q -= 1
-        else:
-            letters.append("R")
-            q = q / (1 - q)
-    return MutationWord(tuple(letters))
+    return MutationWord(tuple("".join(ch * k for ch, k in _slope_runs(q))))
 
 
 def phi_from_infinity(q):
     """Unimodular matrix carrying the slope-infinity tube to slope q.
 
     For q > 0 this is the word matrix composed with the R-step from
-    infinity.  For q <= 0, m = floor(-q) + 1 is the fewest S-steps making
-    q + m positive, and S^-m = ((1, 0), (-m, 1)) is applied to the matrix
-    for q + m.
+    infinity, one power per run of the word.  For q <= 0,
+    m = floor(-q) + 1 is the fewest S-steps making q + m positive, and
+    S^-m = ((1, 0), (-m, 1)) is applied to the matrix for q + m.
     """
     q = Fraction(q)
     m = 0 if q > 0 else floor(-q) + 1
-    (a, b), (c, d) = mat_mul(word_for_slope(q + m).matrix(), R_MATRIX)
+    (a, b), (c, d) = _runs_matrix(_slope_runs(q + m) + [("R", 1)])
     return (a, b), (c - m * a, d - m * b)
 
 

@@ -1,8 +1,9 @@
 import pytest
 
+from ellmf import shift
 from ellmf.shift import (
-    SHIFT_MATRIX, Region, in_fundamental_domain, mat_mul, mat_pow,
-    reduce_to_fundamental, region, shift_rd,
+    SHIFT_MATRIX, OrbitError, Region, in_fundamental_domain, mat_mul,
+    mat_pow, reduce_to_fundamental, region, shift_rd,
 )
 
 IDENTITY = ((1, 0), (0, 1))
@@ -55,3 +56,12 @@ def test_zero_class_rejected():
 
 def test_mat_mul_identity():
     assert mat_mul(SHIFT_MATRIX, IDENTITY) == SHIFT_MATRIX
+
+
+def test_reduce_orbit_error_is_typed(monkeypatch):
+    """An orbit meeting the domain other than once raises OrbitError, a
+    ValueError, instead of an AssertionError."""
+    monkeypatch.setattr(shift, "in_fundamental_domain", lambda p: True)
+    with pytest.raises(OrbitError, match="meets the domain 4 times"):
+        reduce_to_fundamental((1, 1))
+    assert issubclass(OrbitError, ValueError)

@@ -1,9 +1,11 @@
+import json
 import random
 import time
 from math import gcd
 
 import pytest
 
+from ellmf import cli, tables
 from ellmf.k0 import (
     K0Class, chi, degree, real_root_gamma_parts, rank, simple_class,
 )
@@ -163,6 +165,22 @@ def test_classification_rejects():
         normalize_and_classify(B({}))
     with pytest.raises(TableError):
         normalize_and_classify(B({(0, 0): 2, (1, 1): 1}))
+
+
+def test_ambiguous_classification_is_table_error(monkeypatch, tmp_path,
+                                                capsys):
+    """Two matching templates raise TableError, so the CLI exits 1."""
+    real = tables.template_table
+    monkeypatch.setattr(tables, "template_table", lambda kind, params:
+                        real("I", params) if len(params) == 2
+                        else real(kind, params))
+    table = B({(0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 1})
+    with pytest.raises(TableError, match="ambiguous classification"):
+        normalize_and_classify(table)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(cli.betti_to_json(table)))
+    assert cli.run(["classify-betti", str(path)]) == 1
+    assert "ambiguous classification" in capsys.readouterr().err
 
 
 def test_classification_ignores_support_spread():

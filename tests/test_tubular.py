@@ -71,6 +71,18 @@ def test_phi_from_infinity_far_negative_slope():
     assert r > 0 and Fraction(d, r) == q
 
 
+def test_phi_from_infinity_large_positive_slope():
+    """q > 0 takes one matrix power per run of the word, not one product
+    per letter."""
+    q = Fraction(100000)
+    start = time.perf_counter()
+    m = phi_from_infinity(q)
+    assert time.perf_counter() - start < 0.1
+    assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+    r, d = mat_apply(m, (0, 1))
+    assert r > 0 and Fraction(d, r) == q
+
+
 def test_bad_word_letters():
     with pytest.raises(ValueError):
         MutationWord(("R", "Q"))
