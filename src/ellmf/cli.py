@@ -224,13 +224,18 @@ def _csv_cells(v) -> list[str]:
 
 def render(args, record, text) -> None:
     """Print a command result: its record as json or as one csv line per
-    record (fields in the order the record was built), or `text(record)`."""
+    record (fields in the order the record was built, each padded with empty
+    cells to its widest value among the records), or `text(record)`."""
     if args.format == "json":
         emit_json(record)
         return
     if args.format == "csv":
-        lines = [",".join(c for v in rec.values() for c in _csv_cells(v))
-                 for rec in (record if isinstance(record, list) else [record])]
+        rows = [[_csv_cells(v) for v in rec.values()]
+                for rec in (record if isinstance(record, list) else [record])]
+        widths = [max(map(len, field)) for field in zip(*rows)]
+        lines = [",".join(c for cells, w in zip(row, widths)
+                          for c in cells + [""] * (w - len(cells)))
+                 for row in rows]
     else:
         lines = text(record)
     for line in lines:

@@ -11,26 +11,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import BivariatePoly, X, Y, exact_div
+from .poly import BivariatePoly, X, Y
 from .qlambda import LAMBDA, ONE, Scalar
 from .tables import BettiTable
 
 
+# The four ordered linear factors of f and the quarter-derivative cofactors
+# f_x/Y and f_y/X, built once; every constructor below is a product of them.
+L1, L2 = X, Y
+L3 = X - Y
+L4 = X - Y.scale(LAMBDA)
+L34 = L3 * L4
+F = L1 * L2 * L34
+_QUARTER = Scalar.of(Fraction(1, 4))
+FX_OVER_Y = BivariatePoly.from_dict({
+    (2, 0): _QUARTER * 3, (1, 1): _QUARTER * (-2) * (ONE + LAMBDA),
+    (0, 2): _QUARTER * LAMBDA})
+FY_OVER_X = BivariatePoly.from_dict({
+    (2, 0): _QUARTER, (1, 1): _QUARTER * (-2) * (ONE + LAMBDA),
+    (0, 2): _QUARTER * 3 * LAMBDA})
+FX = Y * FX_OVER_Y
+FY = X * FY_OVER_X
+LINEAR = (L1, L2, L3, L4)
+
+
 def constants():
     """(f, (l1..l4), f_x, f_y) with f = X f_x + Y f_y and the four ordered
-    linear factors."""
-    l1, l2 = X, Y
-    l3 = X - Y
-    l4 = X - Y.scale(LAMBDA)
-    f = l1 * l2 * l3 * l4
-    quarter = Scalar.of(Fraction(1, 4))
-    fx = BivariatePoly.from_dict({
-        (2, 1): quarter * 3, (1, 2): quarter * (-2) * (ONE + LAMBDA),
-        (0, 3): quarter * LAMBDA})
-    fy = BivariatePoly.from_dict({
-        (3, 0): quarter, (2, 1): quarter * (-2) * (ONE + LAMBDA),
-        (1, 2): quarter * 3 * LAMBDA})
-    return f, (l1, l2, l3, l4), fx, fy
+    linear factors; the same module values on every call."""
+    return F, LINEAR, FX, FY
 
 
 @dataclass(frozen=True)
@@ -216,38 +224,33 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
 
 def mf_linear(i: int) -> MatrixFactorization:
     """The 1x1 factorization (l_i, f/l_i) presenting the module cut out by
-    the i-th linear factor."""
-    f, lin, _, _ = constants()
+    the i-th linear factor; f/l_i is the product of the other three."""
     if i not in (1, 2, 3, 4):
         raise ValueError("index must be 1..4")
-    li = lin[i - 1]
-    A = GradedMatrix(((li,),), (0,), (1,))
-    B = GradedMatrix(((exact_div(f, li),),), (1,), (4,))
-    return MatrixFactorization(A, B, f)
+    a, b, c = (lj for j, lj in enumerate(LINEAR, 1) if j != i)
+    A = GradedMatrix(((LINEAR[i - 1],),), (0,), (1,))
+    B = GradedMatrix(((a * b * c,),), (1,), (4,))
+    return MatrixFactorization(A, B, F)
 
 
 def mf_kst() -> MatrixFactorization:
     """Factorization presenting the stable residue field, built from the
     quarter-derivatives via f = X f_x + Y f_y."""
-    f, _, fx, fy = constants()
-    A = GradedMatrix(((X, Y), (-fy, fx)), (0, -2), (1, 1))
-    B = GradedMatrix(((fx, -Y), (fy, X)), (1, 1), (4, 2))
-    return MatrixFactorization(A, B, f)
+    A = GradedMatrix(((X, Y), (-FY, FX)), (0, -2), (1, 1))
+    B = GradedMatrix(((FX, -Y), (FY, X)), (1, 1), (4, 2))
+    return MatrixFactorization(A, B, F)
 
 
 def phi_psi_maps():
     """The chain maps (phi0, psi0) and (phiinf, psiinf) from the suspension
     of the residue-field factorization to its twist, whose cones realize the
     degree-two skyscrapers."""
-    _, _, fx, fy = constants()
     z = BivariatePoly.zero()
     one = BivariatePoly.monomial(0, 0)
-    fy_over_x = exact_div(fy, X)
-    fx_over_y = exact_div(fx, Y)
-    phi0 = GradedMatrix(((z, one), (z, -fy_over_x)), (2, 0), (2, 2))
-    psi0 = GradedMatrix(((-fy_over_x, -one), (z, z)), (3, 3), (5, 3))
-    phiinf = GradedMatrix(((one, z), (fx_over_y, z)), (2, 0), (2, 2))
-    psiinf = GradedMatrix(((z, z), (-fx_over_y, one)), (3, 3), (5, 3))
+    phi0 = GradedMatrix(((z, one), (z, -FY_OVER_X)), (2, 0), (2, 2))
+    psi0 = GradedMatrix(((-FY_OVER_X, -one), (z, z)), (3, 3), (5, 3))
+    phiinf = GradedMatrix(((one, z), (FX_OVER_Y, z)), (2, 0), (2, 2))
+    psiinf = GradedMatrix(((z, z), (-FX_OVER_Y, one)), (3, 3), (5, 3))
     return phi0, psi0, phiinf, psiinf
 
 
@@ -267,7 +270,6 @@ def mf_cone(p: PointP1) -> MatrixFactorization:
     """4x4 cone factorization over the point p, gluing the suspended
     residue-field factorization to its twist along phi_p."""
     base = mf_kst()
-    f = base.f
     phi_p, psi_p = _phi_psi_at(p)
     src_a = base.A.twist(1)
     src_b = base.B.twist(1)
@@ -275,30 +277,28 @@ def mf_cone(p: PointP1) -> MatrixFactorization:
     tgt_b = base.B.twist(2)
     c1 = block_lower(src_a, phi_p.neg(), tgt_a)
     c2 = block_lower(src_b, psi_p.neg(), tgt_b)
-    return MatrixFactorization(c1, c2, f)
+    return MatrixFactorization(c1, c2, F)
 
 
 def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
-    """Minimal 2x2 factorization of the degree-two skyscraper at p."""
-    f, _, _, _ = constants()
-    f_over_x = exact_div(f, X)
-    f_over_y = exact_div(f, Y)
+    """Minimal 2x2 factorization of the degree-two skyscraper at p, with
+    the cofactors f/XY = l3 l4, f/X = Y l3 l4 and f/Y = X l3 l4."""
     if p.p1:
-        ratio = p.p0 / p.p1
-        f_over_xy = exact_div(f_over_x, Y)
-        a00 = X - Y.scale(ratio)
+        f_over_x = Y * L34
+        a00 = X - Y.scale(p.p0 / p.p1)
         a01 = BivariatePoly.monomial(0, 2, ONE / p.p1)
-        a10 = f_over_xy.scale(-p.p0)
+        a10 = L34.scale(-p.p0)
         A = GradedMatrix(((a00, a01), (a10, f_over_x)), (1, 0), (2, 3))
         B = GradedMatrix(((f_over_x, -a01), (-a10, a00)),
                          (2, 3), (5, 4))
     else:
+        f_over_y = X * L34
         xsq = BivariatePoly.monomial(2, 0)
         A = GradedMatrix(((Y, xsq), (BivariatePoly.zero(), f_over_y)),
                          (1, 0), (2, 3))
         B = GradedMatrix(((f_over_y, -xsq), (BivariatePoly.zero(), Y)),
                          (2, 3), (5, 4))
-    return MatrixFactorization(A, B, f)
+    return MatrixFactorization(A, B, F)
 
 
 # --- reduction to minimal form -------------------------------------------

@@ -6,14 +6,6 @@ from dataclasses import dataclass
 from .qlambda import Scalar
 
 
-class InexactDivisionError(ArithmeticError):
-    """Division with nonzero remainder; carries the remainder as witness."""
-
-    def __init__(self, remainder: "BivariatePoly"):
-        super().__init__(f"inexact division, remainder {remainder}")
-        self.remainder = remainder
-
-
 @dataclass(frozen=True)
 class BivariatePoly:
     """Finitely supported (x-exponent, y-exponent) -> nonzero Scalar."""
@@ -117,29 +109,6 @@ def _scalar_str(c: Scalar) -> str:
     if c.den == (1,):
         return side(c.num)
     return f"({side(c.num)})/({side(c.den)})"
-
-
-def exact_div(a: BivariatePoly, b: BivariatePoly) -> BivariatePoly:
-    """Quotient a/b when it exists; raises with the remainder otherwise.
-
-    Lex leading-term division: since the coefficients form a field this is
-    exact whenever b divides a.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    lead_key = max(k for k, _ in b.terms)
-    lead_c = dict(b.terms)[lead_key]
-    q: dict[tuple[int, int], Scalar] = {}
-    r = a
-    while not r.is_zero():
-        (i, j), c = max(r.terms)
-        di, dj = i - lead_key[0], j - lead_key[1]
-        if di < 0 or dj < 0:
-            raise InexactDivisionError(r)
-        coeff = c / lead_c
-        q[(di, dj)] = coeff
-        r = r - b * BivariatePoly.monomial(di, dj, coeff)
-    return BivariatePoly.from_dict(q)
 
 
 X = BivariatePoly.monomial(1, 0)

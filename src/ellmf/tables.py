@@ -71,9 +71,6 @@ class BettiTable:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
 
-    def get(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
     def is_empty(self) -> bool:
         return not self.entries
 
@@ -84,18 +81,6 @@ class BettiTable:
 
     def support(self) -> list[int]:
         return sorted({j for (_, j), _ in self.entries})
-
-    def render_pairs(self) -> list[list[int]]:
-        """The 4x2 pairing (b00 b12 / b01 b13 / b02 b14 / b03 b15)."""
-        return [[self.get(0, j), self.get(1, j + 2)] for j in range(4)]
-
-    def render_standard(self, j_min: int | None = None,
-                        j_max: int | None = None) -> list[list[int]]:
-        """Standard display: row j holds (b_{0,j}, b_{1,j+1})."""
-        js = [j if i == 0 else j - 1 for (i, j), _ in self.entries] or [0]
-        lo = min(js) if j_min is None else j_min
-        hi = max(js) if j_max is None else j_max
-        return [[self.get(0, j), self.get(1, j + 1)] for j in range(lo, hi + 1)]
 
 
 def translate_betti(t: BettiTable, m: int) -> BettiTable:

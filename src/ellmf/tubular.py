@@ -11,50 +11,39 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .k0 import K0Class, euler_pairing
-from .shift import mat_mul
+from .shift import mat_apply, mat_mul
 
 R_MATRIX = ((1, 1), (0, 1))
 S_MATRIX = ((1, 0), (1, 1))
 
 
-def _runs_matrix(runs):
-    """Product of the powers R^k = ((1, k), (0, 1)) and S^k = ((1, 0), (k, 1))
-    over (letter, k) runs, outermost first."""
-    out = ((1, 0), (0, 1))
-    for ch, k in runs:
-        out = mat_mul(out, ((1, k), (0, 1)) if ch == "R" else ((1, 0), (k, 1)))
-    return out
-
-
-def _slope_R(q: Fraction) -> Fraction:
-    return q / (q + 1)
-
-
-def _slope_S(q: Fraction) -> Fraction:
-    return q + 1
-
-
 @dataclass(frozen=True)
 class MutationWord:
-    """Word in the letters R, S; rendered left-to-right outermost-first, so
-    the rightmost letter acts first."""
+    """Word in the letters R, S, stored as runs (letter, k) of k >= 1 equal
+    letters; rendered left-to-right outermost-first, so the rightmost letter
+    acts first."""
 
-    letters: tuple[str, ...]
+    runs: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        if any(ch not in "RS" for ch in self.letters):
-            raise ValueError("letters must be R or S")
+        if any(ch not in ("R", "S") or k < 1 for ch, k in self.runs):
+            raise ValueError("runs must be (R or S, k >= 1)")
 
     def __str__(self) -> str:
-        return "".join(self.letters)
+        return "".join(ch * k for ch, k in self.runs)
 
     def matrix(self):
-        return _runs_matrix((ch, 1) for ch in self.letters)
+        """Product of the powers R^k = ((1, k), (0, 1)) and
+        S^k = ((1, 0), (k, 1)), one per run, outermost first."""
+        out = ((1, 0), (0, 1))
+        for ch, k in self.runs:
+            out = mat_mul(out, ((1, k), (0, 1)) if ch == "R"
+                          else ((1, 0), (k, 1)))
+        return out
 
     def apply_to_slope(self, q: Fraction) -> Fraction:
-        for ch in reversed(self.letters):
-            q = _slope_R(q) if ch == "R" else _slope_S(q)
-        return q
+        r, d = mat_apply(self.matrix(), (q.denominator, q.numerator))
+        return Fraction(d, r)
 
 
 def _slope_runs(q: Fraction):
@@ -83,7 +72,7 @@ def word_for_slope(q) -> MutationWord:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("slope must be positive")
-    return MutationWord(tuple("".join(ch * k for ch, k in _slope_runs(q))))
+    return MutationWord(tuple(_slope_runs(q)))
 
 
 def phi_from_infinity(q):
@@ -96,7 +85,7 @@ def phi_from_infinity(q):
     """
     q = Fraction(q)
     m = 0 if q > 0 else floor(-q) + 1
-    (a, b), (c, d) = _runs_matrix(_slope_runs(q + m) + [("R", 1)])
+    (a, b), (c, d) = mat_mul(word_for_slope(q + m).matrix(), R_MATRIX)
     return (a, b), (c - m * a, d - m * b)
 
 

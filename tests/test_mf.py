@@ -8,7 +8,7 @@ from ellmf.mf import (
     block_lower, constants, is_minimal, lemma63_invariants, mf_cone, mf_kst,
     mf_linear, mf_Mp_reduced, phi_psi_maps, reduce_mf, verify_mf,
 )
-from ellmf.poly import BivariatePoly, X, Y, exact_div
+from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar
 from ellmf.tables import rd_from_betti
 
@@ -22,13 +22,36 @@ def sample_points(count, seed=71):
     return pts
 
 
+def partial(p, var):
+    """d/dX (var 0) or d/dY (var 1) of p, term by term."""
+    return BivariatePoly.from_dict({
+        (i - (var == 0), j - (var == 1)): c * Scalar.of((i, j)[var])
+        for (i, j), c in p.terms if (i, j)[var]})
+
+
 def test_constants_identities():
     f, lin, fx, fy = constants()
+    lam = LAMBDA
+    assert f == X * Y * (X - Y) * (X - Y.scale(lam))
     assert lin[0] * lin[1] * lin[2] * lin[3] == f
     assert X * fx + Y * fy == f
-    exact_div(fy, X)        # X | f_y
-    exact_div(fx, Y)        # Y | f_x
+    quarter = Scalar.of(Fraction(1, 4))
+    assert fx.scale(4) == partial(f, 0) and fy.scale(4) == partial(f, 1)
+    fx_over_y = ((X * X).scale(3) - (X * Y).scale(2 * (ONE + lam))
+                 + (Y * Y).scale(lam)).scale(quarter)
+    fy_over_x = (X * X - (X * Y).scale(2 * (ONE + lam))
+                 + (Y * Y).scale(3 * lam)).scale(quarter)
+    assert fx == Y * fx_over_y and fy == X * fy_over_x
+    phi0, _, phiinf, _ = phi_psi_maps()
+    assert phi0.entry(1, 1) == -fy_over_x
+    assert phiinf.entry(1, 0) == fx_over_y
     assert f.is_homogeneous_of(4)
+
+
+def test_constants_built_once():
+    first, second = constants(), constants()
+    assert all(a is b for a, b in zip(first, second))
+    assert all(a is b for a, b in zip(first[1], second[1]))
 
 
 def test_mf_linear():
@@ -37,8 +60,8 @@ def test_mf_linear():
         assert verify_mf(m).ok
         assert betti_of_mf(m).as_dict() == {(0, 0): 1, (1, 1): 1}
     f, lin, _, _ = constants()
-    q = mf_linear(1).B.entry(0, 0)
-    assert q == exact_div(f, lin[0])
+    for i in (1, 2, 3, 4):
+        assert mf_linear(i).B.entry(0, 0) * lin[i - 1] == f
     with pytest.raises(ValueError):
         mf_linear(5)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellmf.poly import BivariatePoly, InexactDivisionError, X, Y, exact_div
+from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar, p_trim
 
 
@@ -71,35 +71,6 @@ def test_homogeneity_queries():
     assert BivariatePoly.zero().total_degree() is None
     assert BivariatePoly.monomial(0, 0, 7).is_scalar()
     assert not X.is_scalar()
-
-
-def test_exact_div_quartic():
-    lam = LAMBDA
-    f = X * Y * (X - Y) * (X - Y.scale(lam))
-    q = exact_div(f, X)
-    expect = (X * X * Y - (X * Y * Y).scale(ONE + lam)
-              + (Y * Y * Y).scale(lam))
-    assert q == expect
-    assert exact_div(f, X * Y) == (X * X - (X * Y).scale(ONE + lam)
-                                   + (Y * Y).scale(lam))
-    assert q * X == f
-
-
-def test_exact_div_errors():
-    with pytest.raises(InexactDivisionError) as err:
-        exact_div(X, Y)
-    assert not err.value.remainder.is_zero()
-    with pytest.raises(ZeroDivisionError):
-        exact_div(X, BivariatePoly.zero())
-
-
-def test_exact_div_random_round_trip():
-    rng = random.Random(43)
-    for _ in range(40):
-        a, b = rand_poly(rng, 3, 3), rand_poly(rng, 3, 3)
-        if b.is_zero():
-            continue
-        assert exact_div(a * b, b) == a
 
 
 def test_specialize_poly():

@@ -298,8 +298,3 @@ def test_hilbert_rejects_non_mcm():
     with pytest.raises(TableError):
         hilbert(B({(0, 0): 1, (1, 1): 2}))
 
-
-def test_render_formats():
-    t = template_table("I", (1, 1))
-    assert t.render_pairs() == [[1, 1], [1, 1], [0, 0], [0, 0]]
-    assert t.render_standard() == [[1, 0], [1, 1], [0, 1]]

@@ -17,6 +17,14 @@ def slope_of(v):
     return Fraction(d, r) if r else None
 
 
+def apply_letters(word: str, q: Fraction) -> Fraction:
+    """Independent oracle: the letter maps R: q -> q/(q+1), S: q -> q+1,
+    rightmost letter first."""
+    for ch in reversed(word):
+        q = q / (q + 1) if ch == "R" else q + 1
+    return q
+
+
 def test_generator_matrices():
     assert R_MATRIX == ((1, 1), (0, 1))
     assert S_MATRIX == ((1, 0), (1, 1))
@@ -27,7 +35,9 @@ def test_word_for_slope_examples():
     assert str(word_for_slope(Fraction(2, 5))) == "RRS"
     assert str(word_for_slope(3)) == "SS"
     w = word_for_slope(Fraction(2, 5))
+    assert w.runs == (("R", 2), ("S", 1))
     assert w.apply_to_slope(Fraction(1)) == Fraction(2, 5)
+    assert apply_letters(str(w), Fraction(1)) == Fraction(2, 5)
 
 
 def test_word_round_trip_random():
@@ -35,7 +45,10 @@ def test_word_round_trip_random():
     for _ in range(200):
         q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
         w = word_for_slope(q)
+        assert apply_letters(str(w), Fraction(1)) == q
         assert w.apply_to_slope(Fraction(1)) == q
+        start = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        assert w.apply_to_slope(start) == apply_letters(str(w), start)
 
 
 def test_phi_from_infinity_positive():
@@ -85,9 +98,17 @@ def test_phi_from_infinity_large_positive_slope():
 
 def test_bad_word_letters():
     with pytest.raises(ValueError):
-        MutationWord(("R", "Q"))
+        MutationWord((("R", 1), ("Q", 1)))
+    with pytest.raises(ValueError):
+        MutationWord((("R", 0),))
     with pytest.raises(ValueError):
         word_for_slope(0)
+
+
+def test_word_for_large_slope_is_one_run():
+    w = word_for_slope(100000)
+    assert w.runs == (("S", 99999),)
+    assert w.apply_to_slope(Fraction(1)) == 100000
 
 
 def test_tube_invariants():
