@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import BivariatePoly, X, Y
+from .poly import BivariatePoly, X, Y, dot
 from .qlambda import LAMBDA, ONE, Scalar
 from .tables import BettiTable
 
@@ -33,6 +33,7 @@ FY_OVER_X = BivariatePoly.from_dict({
 FX = Y * FX_OVER_Y
 FY = X * FY_OVER_X
 LINEAR = (L1, L2, L3, L4)
+_ONE = BivariatePoly.monomial(0, 0)
 
 
 def constants():
@@ -86,16 +87,10 @@ class GradedMatrix:
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.col_twists != other.row_twists:
             raise ValueError("twist mismatch in composition")
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = BivariatePoly.zero()
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return GradedMatrix(tuple(rows), self.row_twists, other.col_twists)
+        cols = tuple(zip(*other.entries))
+        rows = tuple(tuple(dot(zip(row, col)) for col in cols)
+                     for row in self.entries)
+        return GradedMatrix(rows, self.row_twists, other.col_twists)
 
     def twist(self, m: int) -> "GradedMatrix":
         """Tensor with S(-m): shifts both twist vectors by m."""
@@ -124,13 +119,14 @@ class GradedMatrix:
     def schur_complement(self, i: int, j: int) -> "GradedMatrix":
         """Cancel the unit u at (i, j): the (i, j) minor minus
         (column j) * u^-1 * (row i)."""
-        inv = self.entries[i][j].as_dict()[(0, 0)].inverse()
+        minus_inv = -self.entries[i][j].as_dict()[(0, 0)].inverse()
         top = self.entries[i]
         rows = []
         for r, row in enumerate(self.entries):
             if r != i and not row[j].is_zero():
-                coef = row[j].scale(inv)
-                row = tuple(a - coef * b for a, b in zip(row, top))
+                coef = row[j].scale(minus_inv)
+                row = tuple(dot(((a, _ONE), (coef, b)))
+                            for a, b in zip(row, top))
             rows.append(row)
         return GradedMatrix(rows, self.row_twists,
                             self.col_twists).minor(i, j)
@@ -245,8 +241,7 @@ def phi_psi_maps():
     """The chain maps (phi0, psi0) and (phiinf, psiinf) from the suspension
     of the residue-field factorization to its twist, whose cones realize the
     degree-two skyscrapers."""
-    z = BivariatePoly.zero()
-    one = BivariatePoly.monomial(0, 0)
+    z, one = BivariatePoly.zero(), _ONE
     phi0 = GradedMatrix(((z, one), (z, -FY_OVER_X)), (2, 0), (2, 2))
     psi0 = GradedMatrix(((-FY_OVER_X, -one), (z, z)), (3, 3), (5, 3))
     phiinf = GradedMatrix(((one, z), (FX_OVER_Y, z)), (2, 0), (2, 2))
@@ -258,8 +253,11 @@ def _phi_psi_at(p: PointP1):
     phi0, psi0, phiinf, psiinf = phi_psi_maps()
 
     def comb(m0, minf):
-        rows = tuple(tuple(a.scale(p.p1) + b.scale(p.p0)
-                           for a, b in zip(r0, rinf))
+        """m0 + p0*minf for p = [p0 : 1], and minf at p = [1 : 0]; both
+        maps carry the same twists."""
+        if not p.p1:
+            return minf
+        rows = tuple(tuple(a + b.scale(p.p0) for a, b in zip(r0, rinf))
                      for r0, rinf in zip(m0.entries, minf.entries))
         return GradedMatrix(rows, m0.row_twists, m0.col_twists)
 
@@ -285,8 +283,8 @@ def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
     the cofactors f/XY = l3 l4, f/X = Y l3 l4 and f/Y = X l3 l4."""
     if p.p1:
         f_over_x = Y * L34
-        a00 = X - Y.scale(p.p0 / p.p1)
-        a01 = BivariatePoly.monomial(0, 2, ONE / p.p1)
+        a00 = X - Y.scale(p.p0)
+        a01 = BivariatePoly.monomial(0, 2)
         a10 = L34.scale(-p.p0)
         A = GradedMatrix(((a00, a01), (a10, f_over_x)), (1, 0), (2, 3))
         B = GradedMatrix(((f_over_x, -a01), (-a10, a00)),

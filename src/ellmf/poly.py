@@ -1,9 +1,18 @@
-"""Bivariate polynomials in X, Y with coefficients in the lambda field."""
+"""Bivariate polynomials in X, Y with coefficients in the lambda field.
+
+A polynomial is a sorted tuple of (exponents, nonzero Scalar) terms.  The
+public constructor merges and sorts outside input; arithmetic results are
+already canonical and skip it.  A sum of products is one fused operation,
+`dot`: term products are grouped by monomial and each coefficient is one
+qlambda.dot, accumulated over one common denominator and canonicalised
+once per entry.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .qlambda import Scalar
+from .qlambda import dot as scalar_dot
 
 
 @dataclass(frozen=True)
@@ -25,6 +34,14 @@ class BivariatePoly:
         object.__setattr__(self, "terms", items)
 
     @classmethod
+    def _trusted(cls, terms) -> "BivariatePoly":
+        """For terms that are already sorted, merged, nonzero and canonical:
+        skips __post_init__."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def from_dict(cls, d) -> "BivariatePoly":
         return cls(tuple(d.items()))
 
@@ -43,28 +60,27 @@ class BivariatePoly:
         return not self.terms
 
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return BivariatePoly(self.terms + other.terms)
+        out = dict(self.terms)
+        for k, c in other.terms:
+            out[k] = out[k] + c if k in out else c
+        return BivariatePoly._trusted(tuple((k, out[k]) for k in sorted(out)
+                                            if out[k]))
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly(tuple((k, -c) for k, c in self.terms))
+        return BivariatePoly._trusted(tuple((k, -c) for k, c in self.terms))
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
         return self + (-other)
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out: dict[tuple[int, int], Scalar] = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
-                key = (i1 + i2, j1 + j2)
-                prod = c1 * c2
-                if key in out:
-                    prod = out[key] + prod
-                out[key] = prod
-        return BivariatePoly.from_dict(out)
+        return dot(((self, other),))
 
     def scale(self, c) -> "BivariatePoly":
         c = Scalar.of(c)
-        return BivariatePoly(tuple((k, v * c) for k, v in self.terms))
+        if not c:
+            return BivariatePoly.zero()
+        return BivariatePoly._trusted(tuple((k, v * c)
+                                            for k, v in self.terms))
 
     def total_degree(self) -> int | None:
         if not self.terms:
@@ -93,6 +109,22 @@ class BivariatePoly:
                     mono += name if e == 1 else f"{name}^{e}"
             parts.append(f"({_scalar_str(c)}){mono}")
         return " + ".join(parts)
+
+
+def dot(pairs) -> BivariatePoly:
+    """The sum of p*q over the (p, q) pairs: term products grouped by
+    monomial, one qlambda.dot per monomial, the result built once."""
+    groups: dict[tuple[int, int], list] = {}
+    for p, q in pairs:
+        for (i1, j1), c1 in p.terms:
+            for (i2, j2), c2 in q.terms:
+                key = (i1 + i2, j1 + j2)
+                if key in groups:
+                    groups[key].append((c1, c2))
+                else:
+                    groups[key] = [(c1, c2)]
+    coeffs = ((key, scalar_dot(groups[key])) for key in sorted(groups))
+    return BivariatePoly._trusted(tuple((k, c) for k, c in coeffs if c))
 
 
 def _scalar_str(c: Scalar) -> str:

@@ -9,7 +9,9 @@ Arithmetic runs on Python ints, fraction-free in the style of Bareiss: a
 sum over equal or constant denominators is a scale-and-add followed by one
 integer-content gcd, a product is an integer convolution, and the
 polynomial gcd (a primitive pseudo-remainder sequence) runs only when the
-denominator depends on the parameter.  The public num/den, as Fraction
+denominator depends on the parameter.  A sum of products, `dot`, keeps
+one integer coefficient list over one common denominator and is
+canonicalised once at the end.  The public num/den, as Fraction
 tuples with a monic den, are derived from N/D on demand.
 
 This is the coefficient field for all matrix work, so identities proved
@@ -155,6 +157,46 @@ def _sum(n1: ZPoly, d1: ZPoly, n2: ZPoly, d2: ZPoly) -> "Scalar":
         return _canon(_z_add(_z_mul(n1, (b // g,)), _z_mul(n2, (a // g,))),
                       (a // g * b,))
     return _canon(_z_add(_z_mul(n1, d2), _z_mul(n2, d1)), _z_mul(d1, d2))
+
+
+def dot(pairs) -> "Scalar":
+    """The sum of a*b over the (a, b) pairs, canonicalised once.
+
+    Products whose denominators are integer constants accumulate into one
+    integer coefficient list over one positive common denominator, which
+    grows to the lcm when a product brings a new one; a pair with a
+    parameter-dependent denominator is added as a*b to the rest.
+    """
+    acc: list[int] = []
+    den = 1
+    rest = ZERO
+    for a, b in pairs:
+        n1, d1, n2, d2 = a._n, a._d, b._n, b._d
+        if not n1 or not n2:
+            continue
+        if len(d1) > 1 or len(d2) > 1:
+            rest = rest + a * b
+            continue
+        q = d1[0] * d2[0]
+        m = 1
+        if q != den:
+            g = gcd(den, q)
+            if g != q:
+                acc = [v * (q // g) for v in acc]
+            m = den // g
+            den = den // g * q
+        top = len(n1) + len(n2) - 1
+        if len(acc) < top:
+            acc += [0] * (top - len(acc))
+        for i, x in enumerate(n1):
+            if x:
+                x *= m
+                for j, y in enumerate(n2, i):
+                    acc[j] += x * y
+    while acc and not acc[-1]:
+        acc.pop()
+    total = _canon(tuple(acc), (den,))
+    return total + rest if rest else total
 
 
 class Scalar:

@@ -132,6 +132,64 @@ def test_verify_catches_defects():
     assert any(w in ("A*B", "B*A") for w, _, _, _ in cert.failures)
 
 
+def test_verify_lists_perturbed_kst_defects():
+    """A(0, 0) = X + Y instead of X: the exact defect of each product."""
+    m = mf_kst()
+    _, _, fx, fy = constants()
+    a = [list(row) for row in m.A.entries]
+    a[0][0] = X + Y
+    bad = MatrixFactorization(
+        GradedMatrix(a, m.A.row_twists, m.A.col_twists), m.B, m.f)
+    cert = verify_mf(bad)
+    assert not cert.ok
+    assert cert.failures == (("A*B", 0, 0, Y * fx), ("A*B", 0, 1, -(Y * Y)),
+                             ("B*A", 0, 0, Y * fx), ("B*A", 1, 0, Y * fy))
+
+
+def _random_graded(rng, row_twists, col_twists):
+    rows = []
+    for u in row_twists:
+        row = []
+        for v in col_twists:
+            d, e = v - u, {}
+            for _ in range(3 if d >= 0 else 0):
+                i = rng.randint(0, d)
+                e[(i, d - i)] = Scalar(
+                    [Fraction(rng.randint(-4, 4)) for _ in range(2)],
+                    [Fraction(rng.randint(1, 3)), Fraction(rng.randint(0, 1))])
+            row.append(BivariatePoly.from_dict(e))
+        rows.append(row)
+    return GradedMatrix(rows, row_twists, col_twists)
+
+
+def test_compose_matches_naive_sum_of_products():
+    rng = random.Random(73)
+    for _ in range(25):
+        u = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+        v = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        w = tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 3)))
+        a, b = _random_graded(rng, u, v), _random_graded(rng, v, w)
+        prod = a.compose(b)
+        assert (prod.row_twists, prod.col_twists) == (u, w)
+        for i in range(len(u)):
+            for j in range(len(w)):
+                naive = BivariatePoly(tuple(
+                    ((i1 + i2, j1 + j2), c1 * c2)
+                    for k in range(len(v))
+                    for (i1, j1), c1 in a.entry(i, k).terms
+                    for (i2, j2), c2 in b.entry(k, j).terms))
+                e = prod.entry(i, j)
+                assert e == naive and e.terms == naive.terms
+                assert hash(e) == hash(naive)
+                assert all(c for _, c in e.terms)
+    # Every term of an off-diagonal entry of A*B cancels.
+    m = mf_kst()
+    prod = m.A.compose(m.B)
+    assert prod.entries == ((m.f, BivariatePoly.zero()),
+                            (BivariatePoly.zero(), m.f))
+    assert prod.entry(0, 1).terms == prod.entry(1, 0).terms == ()
+
+
 def test_verify_catches_twist_and_homogeneity():
     m = mf_linear(1)
     bad = MatrixFactorization(m.A, GradedMatrix(m.B.entries, (1,), (5,)),

@@ -77,3 +77,61 @@ def test_specialize_poly():
     f = X.scale(LAMBDA) + Y
     g = f.specialize(Fraction(2))
     assert g == X.scale(Scalar.of(2)) + Y
+
+
+def rand_homogeneous(rng, deg, terms=3):
+    d = {}
+    for _ in range(terms):
+        i = rng.randint(0, deg)
+        d[(i, deg - i)] = rand_scalar(rng)
+    return BivariatePoly.from_dict(d)
+
+
+def assert_canonical(p):
+    """Sorted distinct monomials, no zero coefficient, and equal (with the
+    same hash) to its re-canonicalisation by the public constructor."""
+    assert isinstance(p.terms, tuple)
+    keys = [k for k, _ in p.terms]
+    assert keys == sorted(set(keys))
+    assert all(isinstance(c, Scalar) and c for _, c in p.terms)
+    ref = BivariatePoly(p.terms)
+    assert p == ref and hash(p) == hash(ref)
+
+
+def naive_product(a, b):
+    """Every term product handed to the public constructor to merge."""
+    return BivariatePoly(tuple(((i1 + i2, j1 + j2), c1 * c2)
+                               for (i1, j1), c1 in a.terms
+                               for (i2, j2), c2 in b.terms))
+
+
+def test_arithmetic_results_are_canonical():
+    rng = random.Random(43)
+    for _ in range(80):
+        d = rng.randint(0, 3)
+        a, b = rand_homogeneous(rng, d), rand_homogeneous(rng, d)
+        c = rand_homogeneous(rng, rng.randint(0, 3))
+        s = rand_scalar(rng)
+        results = [a + b, a - b, a * c, c * a, -a, a.scale(s), a - a,
+                   a + (-a), a.scale(0)]
+        for r in results:
+            assert_canonical(r)
+        assert a * c == naive_product(a, c)
+
+
+def test_fast_path_edge_cases():
+    p = X.scale(LAMBDA) + Y * Y
+    assert p.scale(0) == BivariatePoly.zero() and p.scale(0).terms == ()
+    assert p.scale(Scalar.of(0)).is_zero()
+    assert X - X == BivariatePoly.zero()
+    assert (X - X).terms == () and hash(X - X) == hash(BivariatePoly.zero())
+    assert (p - p).total_degree() is None
+    # Products whose coefficients cancel drop those monomials.
+    square_diff = (X + Y) * (X - Y)
+    assert square_diff.terms == (((0, 2), -ONE), ((2, 0), ONE))
+    assert_canonical(square_diff)
+    # Outside input still goes through the public constructor: unsorted,
+    # repeated and zero terms are merged, sorted and dropped.
+    q = BivariatePoly((((0, 1), 2), ((1, 0), ONE), ((0, 1), -2),
+                       ((2, 0), 0)))
+    assert q.terms == (((1, 0), ONE),)

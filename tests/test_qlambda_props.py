@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings                  # noqa: E402
 from hypothesis import strategies as st                 # noqa: E402
 
-from ellmf.qlambda import Scalar                         # noqa: E402
+from ellmf.qlambda import ZERO, Scalar, dot               # noqa: E402
 
 L = sympy.Symbol("L")
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
@@ -130,3 +130,52 @@ def test_equal_values_hash_equal(a, b, m):
     if y:
         quotient = (x * y) / y
         assert quotient == x and hash(quotient) == hash(x)
+
+
+ints = st.lists(st.integers(-6, 6), min_size=0, max_size=4)
+
+
+@st.composite
+def mixed_scalars(draw):
+    """(num, den) with an integer, a rational-constant or a
+    parameter-dependent denominator, or zero."""
+    kind = draw(st.sampled_from(("integer", "constant", "lambda", "zero")))
+    if kind == "integer":
+        return [Fraction(v) for v in draw(ints)], [Fraction(1)]
+    if kind == "constant":
+        return draw(coeffs), [draw(small.filter(bool))]
+    if kind == "lambda":
+        return draw(coeffs), draw(coeffs.filter(lambda c: any(c[1:])))
+    return [], [Fraction(1)]
+
+
+pair_lists = st.lists(st.tuples(mixed_scalars(), mixed_scalars()),
+                      min_size=0, max_size=6)
+
+
+def sequential(pairs):
+    total = ZERO
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+@SETTINGS
+@given(pair_lists)
+def test_dot_matches_sequential_sum_and_oracle(raw):
+    pairs = [(Scalar(*a), Scalar(*b)) for a, b in raw]
+    got = dot(pairs)
+    assert got == sequential(pairs) and hash(got) == hash(sequential(pairs))
+    want = sum((raw_expr(a) * raw_expr(b) for a, b in raw), sympy.Integer(0))
+    assert form(got) == canonical(want)
+
+
+@SETTINGS
+@given(pair_lists, st.randoms(use_true_random=False))
+def test_dot_cancels_to_zero(raw, rng):
+    """Each product paired with its negation, in shuffled order."""
+    pairs = [(Scalar(*a), Scalar(*b)) for a, b in raw]
+    pairs += [(-a, b) for a, b in pairs]
+    rng.shuffle(pairs)
+    got = dot(pairs)
+    assert got == ZERO and not got and form(got) == ((), (1,))
