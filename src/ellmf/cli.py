@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import k0, mf as mfmod, shift, tables, tubular
 from .poly import BivariatePoly
-from .qlambda import Scalar, p_trim
+from .qlambda import Scalar
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -99,7 +99,7 @@ def poly_from_json(obj, where: str, numeric: bool) -> BivariatePoly:
             vals.append(parse_rational(s, f"{path}.c[{m}]"))
         if (i, j) in terms:
             raise SchemaError(f"{path}: duplicate monomial")
-        terms[(i, j)] = Scalar(p_trim(vals))
+        terms[(i, j)] = Scalar(vals)
     return BivariatePoly.from_dict(terms)
 
 

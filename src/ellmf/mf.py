@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import BivariatePoly, X, Y, dot
+from .poly import UNIT, BivariatePoly, X, Y, dot
 from .qlambda import LAMBDA, ONE, Scalar
 from .tables import BettiTable
 
@@ -33,7 +33,6 @@ FY_OVER_X = BivariatePoly.from_dict({
 FX = Y * FX_OVER_Y
 FY = X * FY_OVER_X
 LINEAR = (L1, L2, L3, L4)
-_ONE = BivariatePoly.monomial(0, 0)
 
 
 def constants():
@@ -125,7 +124,7 @@ class GradedMatrix:
         for r, row in enumerate(self.entries):
             if r != i and not row[j].is_zero():
                 coef = row[j].scale(minus_inv)
-                row = tuple(dot(((a, _ONE), (coef, b)))
+                row = tuple(dot(((a, UNIT), (coef, b)))
                             for a, b in zip(row, top))
             rows.append(row)
         return GradedMatrix(rows, self.row_twists,
@@ -206,15 +205,16 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
             fails.append((f"{label}-homogeneity", i, j, g.entry(i, j)))
     if not fails:
         # For B*A the source copy of the factorization is twisted one
-        # period down, hence the shift by deg f.
+        # period down, hence the shift by deg f.  Entries are canonical, so
+        # equality is exact and the defect is built only on a mismatch.
+        zero = BivariatePoly.zero()
         for label, prod in (("A*B", A.compose(B)),
                             ("B*A", B.compose(A.twist(deg)))):
-            for i in range(prod.nrows):
-                for j in range(prod.ncols):
-                    want = f if i == j else BivariatePoly.zero()
-                    defect = prod.entry(i, j) - want
-                    if not defect.is_zero():
-                        fails.append((label, i, j, defect))
+            for i, row in enumerate(prod.entries):
+                for j, e in enumerate(row):
+                    want = f if i == j else zero
+                    if e != want:
+                        fails.append((label, i, j, e - want))
     return Certificate(not fails, tuple(fails))
 
 
@@ -241,7 +241,7 @@ def phi_psi_maps():
     """The chain maps (phi0, psi0) and (phiinf, psiinf) from the suspension
     of the residue-field factorization to its twist, whose cones realize the
     degree-two skyscrapers."""
-    z, one = BivariatePoly.zero(), _ONE
+    z, one = BivariatePoly.zero(), UNIT
     phi0 = GradedMatrix(((z, one), (z, -FY_OVER_X)), (2, 0), (2, 2))
     psi0 = GradedMatrix(((-FY_OVER_X, -one), (z, z)), (3, 3), (5, 3))
     phiinf = GradedMatrix(((one, z), (FX_OVER_Y, z)), (2, 0), (2, 2))
@@ -257,7 +257,8 @@ def _phi_psi_at(p: PointP1):
         maps carry the same twists."""
         if not p.p1:
             return minf
-        rows = tuple(tuple(a + b.scale(p.p0) for a, b in zip(r0, rinf))
+        p0 = BivariatePoly.monomial(0, 0, p.p0)
+        rows = tuple(tuple(dot(((a, UNIT), (p0, b))) for a, b in zip(r0, rinf))
                      for r0, rinf in zip(m0.entries, minf.entries))
         return GradedMatrix(rows, m0.row_twists, m0.col_twists)
 

@@ -2,10 +2,10 @@
 
 A polynomial is a sorted tuple of (exponents, nonzero Scalar) terms.  The
 public constructor merges and sorts outside input; arithmetic results are
-already canonical and skip it.  A sum of products is one fused operation,
-`dot`: term products are grouped by monomial and each coefficient is one
-qlambda.dot, accumulated over one common denominator and canonicalised
-once per entry.
+already canonical and skip it.  Every sum and product, `+`, `-` and `*`
+included, is one sum of products, `dot`: term products are grouped by
+monomial and each coefficient is one qlambda.dot, accumulated over one
+common denominator and canonicalised once per entry.
 """
 from __future__ import annotations
 
@@ -60,17 +60,13 @@ class BivariatePoly:
         return not self.terms
 
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.terms)
-        for k, c in other.terms:
-            out[k] = out[k] + c if k in out else c
-        return BivariatePoly._trusted(tuple((k, out[k]) for k in sorted(out)
-                                            if out[k]))
+        return dot(((self, UNIT), (other, UNIT)))
 
     def __neg__(self) -> "BivariatePoly":
         return BivariatePoly._trusted(tuple((k, -c) for k, c in self.terms))
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + (-other)
+        return dot(((self, UNIT), (other, MINUS_UNIT)))
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         return dot(((self, other),))
@@ -113,7 +109,8 @@ class BivariatePoly:
 
 def dot(pairs) -> BivariatePoly:
     """The sum of p*q over the (p, q) pairs: term products grouped by
-    monomial, one qlambda.dot per monomial, the result built once."""
+    monomial, one qlambda.dot per monomial, the result built once.  A sum
+    or difference is a dot against UNIT or MINUS_UNIT."""
     groups: dict[tuple[int, int], list] = {}
     for p, q in pairs:
         for (i1, j1), c1 in p.terms:
@@ -143,5 +140,7 @@ def _scalar_str(c: Scalar) -> str:
     return f"({side(c.num)})/({side(c.den)})"
 
 
+UNIT = BivariatePoly.monomial(0, 0)
+MINUS_UNIT = BivariatePoly.monomial(0, 0, -1)
 X = BivariatePoly.monomial(1, 0)
 Y = BivariatePoly.monomial(0, 1)

@@ -5,13 +5,12 @@ ints, low degree first), held in the unique form where N and D are coprime
 over the rationals, D has a positive leading coefficient and the integer
 coefficients of N and D together have gcd 1.  Zero is () / (1,).
 
-Arithmetic runs on Python ints, fraction-free in the style of Bareiss: a
-sum over equal or constant denominators is a scale-and-add followed by one
-integer-content gcd, a product is an integer convolution, and the
-polynomial gcd (a primitive pseudo-remainder sequence) runs only when the
-denominator depends on the parameter.  A sum of products, `dot`, keeps
-one integer coefficient list over one common denominator and is
-canonicalised once at the end.  The public num/den, as Fraction
+Arithmetic runs on Python ints, fraction-free in the style of Bareiss.
+Every sum and product, `+`, `-` and `*` included, is one sum of products,
+`dot`: the products accumulate into one integer coefficient list over one
+common denominator, which is canonicalised once at the end.  The
+polynomial gcd (a primitive pseudo-remainder sequence) runs only when that
+denominator depends on the parameter.  The public num/den, as Fraction
 tuples with a monic den, are derived from N/D on demand.
 
 This is the coefficient field for all matrix work, so identities proved
@@ -36,17 +35,6 @@ def p_trim(c) -> Poly:
 
 
 # --- integer polynomials ----------------------------------------------------
-
-def _z_add(a: ZPoly, b: ZPoly) -> ZPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, v in enumerate(b):
-        out[k] += v
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
 
 def _z_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     """Convolution; over the integers the leading product never vanishes."""
@@ -141,50 +129,42 @@ def _canon(n: ZPoly, d: ZPoly) -> "Scalar":
     return _make(n, d)
 
 
-def _sum(n1: ZPoly, d1: ZPoly, n2: ZPoly, d2: ZPoly) -> "Scalar":
-    if not n1:
-        return _make(n2, d2)
-    if not n2:
-        return _make(n1, d1)
-    if d1 == d2:
-        n = _z_add(n1, n2)
-        if d1 == (1,):
-            return _make(n, d1) if n else ZERO
-        return _canon(n, d1)
-    if len(d1) == 1 and len(d2) == 1:
-        a, b = d1[0], d2[0]
-        g = gcd(a, b)
-        return _canon(_z_add(_z_mul(n1, (b // g,)), _z_mul(n2, (a // g,))),
-                      (a // g * b,))
-    return _canon(_z_add(_z_mul(n1, d2), _z_mul(n2, d1)), _z_mul(d1, d2))
-
-
 def dot(pairs) -> "Scalar":
     """The sum of a*b over the (a, b) pairs, canonicalised once.
 
-    Products whose denominators are integer constants accumulate into one
-    integer coefficient list over one positive common denominator, which
-    grows to the lcm when a product brings a new one; a pair with a
-    parameter-dependent denominator is added as a*b to the rest.
+    The products accumulate into one integer coefficient list over the
+    common denominator den*lam, with den a positive integer and lam an
+    integer polynomial, both 1 at the start.  A product with an integer
+    constant denominator q grows den to lcm(den, q), and the list is
+    rescaled by lcm/den; one with a parameter-dependent denominator q other
+    than lam is multiplied into lam, and the list is rescaled by q.  Each
+    product enters times its cofactor over den*lam.
     """
     acc: list[int] = []
-    den = 1
-    rest = ZERO
+    den, lam = 1, (1,)
     for a, b in pairs:
         n1, d1, n2, d2 = a._n, a._d, b._n, b._d
         if not n1 or not n2:
             continue
-        if len(d1) > 1 or len(d2) > 1:
-            rest = rest + a * b
-            continue
-        q = d1[0] * d2[0]
-        m = 1
-        if q != den:
-            g = gcd(den, q)
-            if g != q:
-                acc = [v * (q // g) for v in acc]
-            m = den // g
-            den = den // g * q
+        if len(d1) == 1 and len(d2) == 1:
+            q = d1[0] * d2[0]
+            m = 1
+            if q != den:
+                g = gcd(den, q)
+                if g != q:
+                    acc = [v * (q // g) for v in acc]
+                m = den // g
+                den = den // g * q
+            if len(lam) > 1:
+                n1 = _z_mul(n1, lam)
+        else:
+            q = _z_mul(d1, d2)
+            if q != lam:
+                if acc:
+                    acc = list(_z_mul(acc, q))
+                n1 = _z_mul(n1, lam)
+                lam = _z_mul(lam, q)
+            m = den
         top = len(n1) + len(n2) - 1
         if len(acc) < top:
             acc += [0] * (top - len(acc))
@@ -195,8 +175,7 @@ def dot(pairs) -> "Scalar":
                     acc[j] += x * y
     while acc and not acc[-1]:
         acc.pop()
-    total = _canon(tuple(acc), (den,))
-    return total + rest if rest else total
+    return _canon(tuple(acc), tuple(den * v for v in lam))
 
 
 class Scalar:
@@ -252,7 +231,7 @@ class Scalar:
     def __add__(self, other):
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
-        return _sum(self._n, self._d, other._n, other._d)
+        return dot(((self, ONE), (other, ONE)))
 
     __radd__ = __add__
 
@@ -262,7 +241,7 @@ class Scalar:
     def __sub__(self, other):
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
-        return _sum(self._n, self._d, tuple(-v for v in other._n), other._d)
+        return dot(((self, ONE), (other, MINUS_ONE)))
 
     def __rsub__(self, other):
         return Scalar.of(other) - self
@@ -270,12 +249,7 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
-        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
-        if not n1 or not n2:
-            return ZERO
-        if d1 == d2 == (1,):
-            return _make(_z_mul(n1, n2), d1)
-        return _canon(_z_mul(n1, n2), _z_mul(d1, d2))
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -322,4 +296,5 @@ _set_d = Scalar._d.__set__
 
 ZERO = _make((), (1,))
 ONE = _make((1,), (1,))
+MINUS_ONE = _make((-1,), (1,))
 LAMBDA = _make((0, 1), (1,))

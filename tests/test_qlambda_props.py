@@ -179,3 +179,17 @@ def test_dot_cancels_to_zero(raw, rng):
     rng.shuffle(pairs)
     got = dot(pairs)
     assert got == ZERO and not got and form(got) == ((), (1,))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(coeffs, small, st.booleans()), min_size=1,
+                max_size=5),
+       coeffs.filter(lambda c: any(c[1:])))
+def test_dot_shared_lambda_denominator(terms, den):
+    """Products num/den * c, or num * c, that share one parameter-dependent
+    den, where the constants c bring integer denominators of their own."""
+    raw = [((num, den if shared else [Fraction(1)]), ([c], [Fraction(1)]))
+           for num, c, shared in terms]
+    got = dot([(Scalar(*a), Scalar(*b)) for a, b in raw])
+    want = sum((raw_expr(a) * raw_expr(b) for a, b in raw), sympy.Integer(0))
+    assert form(got) == canonical(want)
