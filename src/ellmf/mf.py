@@ -5,11 +5,18 @@ passing verification of entries polynomial in lambda holds for every
 admissible parameter value; a reduction holds only for generic lambda,
 since reduce_mf may pivot on an element that vanishes at an admissible
 value (see reduce_mf).
+
+Verification composes A*B, and B*A only when A*B has a defect or A is not
+square: over the integral domain Q(lambda)[X, Y], A*B = f*I with f != 0
+gives det A * det B = f^n != 0, so B = f*A^-1 over the fraction field and
+B*A = f*I follows.  Each factorization caches its certificate, so checking
+the same object twice composes once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import UNIT, BivariatePoly, X, Y, dot
 from .qlambda import LAMBDA, ONE, Scalar
@@ -148,7 +155,21 @@ def block_lower(top_left: GradedMatrix, bottom_left: GradedMatrix,
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """Outcome of verify_mf; failures are (label, i, j, defect)."""
+
+    ok: bool
+    failures: tuple
+
+
+@dataclass(frozen=True)
 class MatrixFactorization:
+    """Candidate factorization (A, B) of f, twists included.  The object
+    and every field under it are immutable, so its certificate (see
+    verify_mf) depends on its value alone: it is computed on first use and
+    cached on this object, and lives as long as the object does.
+    specialize builds a new object, which is checked afresh."""
+
     A: GradedMatrix
     B: GradedMatrix
     f: BivariatePoly
@@ -157,6 +178,44 @@ class MatrixFactorization:
         return MatrixFactorization(self.A.specialize(value),
                                    self.B.specialize(value),
                                    self.f.specialize(value))
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        """The Certificate of verify_mf, computed on first use."""
+        fails = []
+        A, B, f = self.A, self.B, self.f
+        deg = f.total_degree()
+        if A.col_twists != B.row_twists:
+            fails.append(("twists", -1, -1, "A col twists != B row twists"))
+        if deg is None:
+            fails.append(("f", -1, -1, "f is zero"))
+        elif B.col_twists != tuple(u + deg for u in A.row_twists):
+            fails.append(("twists", -1, -1,
+                          "B col twists != A row twists + deg f"))
+        for label, g in (("A", A), ("B", B)):
+            for i, j in g.homogeneity_defects():
+                fails.append((f"{label}-homogeneity", i, j, g.entry(i, j)))
+        if fails:
+            return Certificate(False, tuple(fails))
+        _product_defects("A*B", A.compose(B), f, fails)
+        if fails or A.nrows != A.ncols:
+            # For B*A the source copy of the factorization is twisted one
+            # period down, hence the shift by deg f.
+            _product_defects("B*A", B.compose(A.twist(deg)), f, fails)
+        return Certificate(not fails, tuple(fails))
+
+
+def _product_defects(label, prod: GradedMatrix, f: BivariatePoly,
+                     fails: list) -> None:
+    """Append (label, i, j, entry - f*delta_ij) for each wrong entry of
+    prod.  Entries are canonical, so equality is exact and a defect is
+    built only on a mismatch."""
+    zero = BivariatePoly.zero()
+    for i, row in enumerate(prod.entries):
+        for j, e in enumerate(row):
+            want = f if i == j else zero
+            if e != want:
+                fails.append((label, i, j, e - want))
 
 
 @dataclass(frozen=True)
@@ -179,43 +238,14 @@ class PointP1:
         object.__setattr__(self, "p1", p1)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of verify_mf; failures are (label, i, j, defect)."""
-
-    ok: bool
-    failures: tuple
-
-
 def verify_mf(m: MatrixFactorization) -> Certificate:
-    """Check both product identities, twist bookkeeping and homogeneity;
-    collects every defect instead of raising."""
-    fails = []
-    A, B, f = m.A, m.B, m.f
-    deg = f.total_degree()
-    if A.col_twists != B.row_twists:
-        fails.append(("twists", -1, -1, "A col twists != B row twists"))
-    if deg is None:
-        fails.append(("f", -1, -1, "f is zero"))
-    elif B.col_twists != tuple(u + deg for u in A.row_twists):
-        fails.append(("twists", -1, -1,
-                      "B col twists != A row twists + deg f"))
-    for label, g in (("A", A), ("B", B)):
-        for i, j in g.homogeneity_defects():
-            fails.append((f"{label}-homogeneity", i, j, g.entry(i, j)))
-    if not fails:
-        # For B*A the source copy of the factorization is twisted one
-        # period down, hence the shift by deg f.  Entries are canonical, so
-        # equality is exact and the defect is built only on a mismatch.
-        zero = BivariatePoly.zero()
-        for label, prod in (("A*B", A.compose(B)),
-                            ("B*A", B.compose(A.twist(deg)))):
-            for i, row in enumerate(prod.entries):
-                for j, e in enumerate(row):
-                    want = f if i == j else zero
-                    if e != want:
-                        fails.append((label, i, j, e - want))
-    return Certificate(not fails, tuple(fails))
+    """The certificate of m: both product identities, twist bookkeeping
+    and homogeneity, every defect collected instead of raised.  It is
+    computed once per object (MatrixFactorization.certificate), and B*A
+    only when A*B has a defect or A is not square, since over the integral
+    domain Q(lambda)[X, Y] A*B = f*I with f != 0 gives
+    det A * det B = f^n != 0, hence B = f*A^-1 and B*A = f*I."""
+    return m.certificate
 
 
 def mf_linear(i: int) -> MatrixFactorization:
@@ -229,28 +259,34 @@ def mf_linear(i: int) -> MatrixFactorization:
     return MatrixFactorization(A, B, F)
 
 
+# The residue-field factorization, built from the quarter-derivatives via
+# f = X f_x + Y f_y, and the chain maps (phi0, psi0), (phiinf, psiinf) from
+# its suspension to its twist, built once like the factors above.
+KST = MatrixFactorization(
+    GradedMatrix(((X, Y), (-FY, FX)), (0, -2), (1, 1)),
+    GradedMatrix(((FX, -Y), (FY, X)), (1, 1), (4, 2)), F)
+_Z = BivariatePoly.zero()
+PHI_PSI = (GradedMatrix(((_Z, UNIT), (_Z, -FY_OVER_X)), (2, 0), (2, 2)),
+           GradedMatrix(((-FY_OVER_X, -UNIT), (_Z, _Z)), (3, 3), (5, 3)),
+           GradedMatrix(((UNIT, _Z), (FX_OVER_Y, _Z)), (2, 0), (2, 2)),
+           GradedMatrix(((_Z, _Z), (-FX_OVER_Y, UNIT)), (3, 3), (5, 3)))
+
+
 def mf_kst() -> MatrixFactorization:
-    """Factorization presenting the stable residue field, built from the
-    quarter-derivatives via f = X f_x + Y f_y."""
-    A = GradedMatrix(((X, Y), (-FY, FX)), (0, -2), (1, 1))
-    B = GradedMatrix(((FX, -Y), (FY, X)), (1, 1), (4, 2))
-    return MatrixFactorization(A, B, F)
+    """Factorization presenting the stable residue field; the module value
+    KST on every call."""
+    return KST
 
 
 def phi_psi_maps():
-    """The chain maps (phi0, psi0) and (phiinf, psiinf) from the suspension
-    of the residue-field factorization to its twist, whose cones realize the
-    degree-two skyscrapers."""
-    z, one = BivariatePoly.zero(), UNIT
-    phi0 = GradedMatrix(((z, one), (z, -FY_OVER_X)), (2, 0), (2, 2))
-    psi0 = GradedMatrix(((-FY_OVER_X, -one), (z, z)), (3, 3), (5, 3))
-    phiinf = GradedMatrix(((one, z), (FX_OVER_Y, z)), (2, 0), (2, 2))
-    psiinf = GradedMatrix(((z, z), (-FX_OVER_Y, one)), (3, 3), (5, 3))
-    return phi0, psi0, phiinf, psiinf
+    """The chain maps (phi0, psi0, phiinf, psiinf) from the suspension of
+    the residue-field factorization to its twist, whose cones realize the
+    degree-two skyscrapers; the module tuple PHI_PSI on every call."""
+    return PHI_PSI
 
 
 def _phi_psi_at(p: PointP1):
-    phi0, psi0, phiinf, psiinf = phi_psi_maps()
+    phi0, psi0, phiinf, psiinf = PHI_PSI
 
     def comb(m0, minf):
         """m0 + p0*minf for p = [p0 : 1], and minf at p = [1 : 0]; both
@@ -268,12 +304,11 @@ def _phi_psi_at(p: PointP1):
 def mf_cone(p: PointP1) -> MatrixFactorization:
     """4x4 cone factorization over the point p, gluing the suspended
     residue-field factorization to its twist along phi_p."""
-    base = mf_kst()
     phi_p, psi_p = _phi_psi_at(p)
-    src_a = base.A.twist(1)
-    src_b = base.B.twist(1)
-    tgt_a = base.A.twist(2)
-    tgt_b = base.B.twist(2)
+    src_a = KST.A.twist(1)
+    src_b = KST.B.twist(1)
+    tgt_a = KST.A.twist(2)
+    tgt_b = KST.B.twist(2)
     c1 = block_lower(src_a, phi_p.neg(), tgt_a)
     c2 = block_lower(src_b, psi_p.neg(), tgt_b)
     return MatrixFactorization(c1, c2, F)
@@ -323,6 +358,8 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     twists included.
     The units of A are exhausted first, then those of B; a B step only
     deletes rows and columns of A, so it never creates a unit there.
+    The input must pass verification; its cached certificate is read, so
+    an input verified before is not checked again.
 
     Valid for generic lambda only: a pivot is any nonzero element of the
     lambda function field, even one that vanishes at an admissible value.
@@ -330,7 +367,7 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     denominator vanishing at lambda = 2, so specializing it there raises
     ZeroDivisionError, while reducing the cone specialized at 2 works.
     """
-    cert = verify_mf(m)
+    cert = m.certificate
     if not cert.ok:
         raise ValueError(f"input fails verification: {cert.failures[0]}")
     A, B = m.A, m.B

@@ -3,6 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:       # test-only dependency; the property test skips
+    st = None
+
 from ellmf.mf import (
     BRANCH_POINTS, GradedMatrix, MatrixFactorization, PointP1, betti_of_mf,
     block_lower, constants, is_minimal, lemma63_invariants, mf_cone, mf_kst,
@@ -52,6 +58,14 @@ def test_constants_built_once():
     first, second = constants(), constants()
     assert all(a is b for a, b in zip(first, second))
     assert all(a is b for a, b in zip(first[1], second[1]))
+
+
+def test_kst_and_chain_maps_built_once():
+    assert mf_kst() is mf_kst()
+    first, second = phi_psi_maps(), phi_psi_maps()
+    assert len(first) == 4 and all(a is b for a, b in zip(first, second))
+    for p in BRANCH_POINTS:
+        assert verify_mf(mf_cone(p)).ok
 
 
 def test_mf_linear():
@@ -144,6 +158,133 @@ def test_verify_lists_perturbed_kst_defects():
     assert not cert.ok
     assert cert.failures == (("A*B", 0, 0, Y * fx), ("A*B", 0, 1, -(Y * Y)),
                              ("B*A", 0, 0, Y * fx), ("B*A", 1, 0, Y * fy))
+
+
+def reference_certificate(m):
+    """verify_mf's failures recomputed with both products always formed:
+    twists, zero f and homogeneity first, then every entry of A*B and of
+    B*A (against the source twisted by deg f) that differs from f*I."""
+    A, B, f = m.A, m.B, m.f
+    deg = f.total_degree()
+    fails = []
+    if A.col_twists != B.row_twists:
+        fails.append(("twists", -1, -1, "A col twists != B row twists"))
+    if deg is None:
+        fails.append(("f", -1, -1, "f is zero"))
+    elif B.col_twists != tuple(u + deg for u in A.row_twists):
+        fails.append(("twists", -1, -1,
+                      "B col twists != A row twists + deg f"))
+    for label, g in (("A", A), ("B", B)):
+        fails += [(f"{label}-homogeneity", i, j, g.entry(i, j))
+                  for i, j in g.homogeneity_defects()]
+    if fails:
+        return tuple(fails)
+    for label, prod in (("A*B", A.compose(B)),
+                        ("B*A", B.compose(A.twist(deg)))):
+        for i, row in enumerate(prod.entries):
+            for j, e in enumerate(row):
+                want = f if i == j else BivariatePoly.zero()
+                if e != want:
+                    fails.append((label, i, j, e - want))
+    return tuple(fails)
+
+
+def _rectangular():
+    """A = (X Y), B = (f_x; f_y): A*B = f, but B*A is not f*I."""
+    f, _, fx, fy = constants()
+    return MatrixFactorization(GradedMatrix(((X, Y),), (0,), (1, 1)),
+                               GradedMatrix(((fx,), (fy,)), (1, 1), (4,)),
+                               f)
+
+
+def _with_entry(m, side, i, j, delta):
+    """m with delta added to entry (i, j) of A (side "A") or B."""
+    g = getattr(m, side)
+    rows = [list(row) for row in g.entries]
+    rows[i][j] = rows[i][j] + delta
+    g = GradedMatrix(rows, g.row_twists, g.col_twists)
+    return (MatrixFactorization(g, m.B, m.f) if side == "A"
+            else MatrixFactorization(m.A, g, m.f))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_certificate_matches_two_product_reference():
+    """verify_mf, which forms B*A only when A*B fails or A is not square,
+    lists the same failures in the same order as the reference, on the
+    base factorizations and on copies with one entry of A or B perturbed."""
+    points = [PointP1(LAMBDA, ONE), PointP1(ONE, LAMBDA - 3),
+              PointP1(LAMBDA * 2 + 1, ONE), PointP1(ONE, Scalar.of(0)),
+              PointP1(Scalar.of(Fraction(-5, 3)), ONE),
+              PointP1(Scalar.of(2), ONE)]
+    cones = [mf_cone(p) for p in points]
+    bases = ([mf_kst(), _rectangular()] + [mf_linear(i) for i in range(1, 5)]
+             + cones + [reduce_mf(c) for c in cones]
+             + [cones[-1].specialize(Fraction(7, 2))])
+    for m in bases:
+        fresh = MatrixFactorization(m.A, m.B, m.f)
+        assert verify_mf(fresh).failures == reference_certificate(fresh)
+    coefs = st.sampled_from((0, 1, -2, Fraction(1, 3), LAMBDA,
+                             LAMBDA - 2, ONE / (LAMBDA + 1)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.sampled_from(bases))
+        side = data.draw(st.sampled_from("AB"))
+        g = getattr(m, side)
+        i = data.draw(st.integers(0, g.nrows - 1))
+        j = data.draw(st.integers(0, g.ncols - 1))
+        d = g.col_twists[j] - g.row_twists[i] + data.draw(
+            st.sampled_from((0, 0, 0, 1)))
+        x = data.draw(st.integers(0, max(d, 0)))
+        delta = BivariatePoly.monomial(x, max(d - x, 0),
+                                       Scalar.of(data.draw(coefs)))
+        bad = _with_entry(m, side, i, j, delta)
+        cert, ref = verify_mf(bad), reference_certificate(bad)
+        assert cert.failures == ref
+        assert cert.ok is (not ref)
+
+    check()
+
+
+def test_rectangular_fails_on_b_times_a():
+    m = _rectangular()
+    f, _, fx, fy = constants()
+    assert m.A.compose(m.B).entries == ((f,),)
+    cert = verify_mf(m)
+    assert not cert.ok
+    assert cert.failures == reference_certificate(m) == (
+        ("B*A", 0, 0, fx * X - f), ("B*A", 0, 1, fx * Y),
+        ("B*A", 1, 0, fy * X), ("B*A", 1, 1, fy * Y - f))
+
+
+def test_certificate_cached_per_object():
+    m = mf_cone(PointP1(ONE, ONE))
+    assert verify_mf(m) is verify_mf(m) is m.certificate
+    assert verify_mf(MatrixFactorization(m.A, m.B, m.f)) is not m.certificate
+
+
+def test_reduce_rejects_perturbed_cone_fresh_and_verified():
+    cone = mf_cone(PointP1(LAMBDA, ONE))
+    for verified_first in (False, True):
+        bad = _with_entry(cone, "B", 0, 1, BivariatePoly.monomial(0, 0))
+        if verified_first:
+            assert not verify_mf(bad).ok
+        with pytest.raises(ValueError, match="input fails verification"):
+            reduce_mf(bad)
+
+
+def test_certificate_does_not_leak_through_specialize():
+    """A defect (lambda - 2)*Y^2 fails for symbolic lambda and vanishes at
+    lambda = 2; the specialized object gets a certificate of its own."""
+    cone = mf_cone(PointP1(Scalar.of(3), ONE))
+    assert cone.A.col_twists[0] - cone.A.row_twists[3] == 2
+    bad = _with_entry(cone, "A", 3, 0,
+                      BivariatePoly.monomial(0, 2, LAMBDA - 2))
+    assert not verify_mf(bad).ok
+    assert verify_mf(bad.specialize(Fraction(2))).ok
+    assert not verify_mf(bad.specialize(Fraction(3))).ok
 
 
 def _random_graded(rng, row_twists, col_twists):
