@@ -430,20 +430,20 @@ def cmd_mf(args):
     if len(args.what) != 1:
         raise SchemaError(f"mf {args.action}: expected exactly one FILE")
     m, lam = mf_from_json(_read_json(args.what[0]))
+    cert = mfmod.verify_mf(m)
     if args.action == "verify":
-        cert = mfmod.verify_mf(m)
         report = {"ok": cert.ok,
                   "failures": [{"where": w, "i": i, "j": j, "defect": str(dd)}
                                for w, i, j, dd in cert.failures]}
         if not cert.ok:
             raise CheckFailed("verification failed", (report, _verify_text))
         return report, _verify_text
+    # betti reads twists alone, so a file that is no factorization is
+    # refused here as reduce refuses it.
+    if not cert.ok:
+        raise CheckFailed(f"input fails verification: {cert.failures[0]}")
     if args.action == "reduce":
-        try:
-            red = mfmod.reduce_mf(m)
-        except ValueError as exc:
-            raise CheckFailed(str(exc)) from None
-        return mf_to_json(red, lam), _mf_text
+        return mf_to_json(mfmod.reduce_mf(m), lam), _mf_text
     try:
         t = mfmod.betti_of_mf(m)
     except ValueError as exc:

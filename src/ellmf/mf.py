@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .poly import UNIT, BivariatePoly, X, Y, dot
-from .qlambda import LAMBDA, ONE, Scalar
+from .qlambda import LAMBDA, ONE, ZERO, Scalar
 from .tables import BettiTable
 
 
@@ -104,11 +104,6 @@ class GradedMatrix:
                             tuple(u + m for u in self.row_twists),
                             tuple(v + m for v in self.col_twists))
 
-    def neg(self) -> "GradedMatrix":
-        return GradedMatrix(tuple(tuple(-e for e in row)
-                                  for row in self.entries),
-                            self.row_twists, self.col_twists)
-
     def specialize(self, value) -> "GradedMatrix":
         return GradedMatrix(tuple(tuple(e.specialize(value) for e in row)
                                   for row in self.entries),
@@ -124,18 +119,20 @@ class GradedMatrix:
 
     def schur_complement(self, i: int, j: int) -> "GradedMatrix":
         """Cancel the unit u at (i, j): the (i, j) minor minus
-        (column j) * u^-1 * (row i)."""
+        (column j) * u^-1 * (row i).  Only cells of the minor are formed,
+        and a row whose column-j entry is zero is kept as it is."""
         minus_inv = -self.entries[i][j].as_dict()[(0, 0)].inverse()
-        top = self.entries[i]
+        m = self.minor(i, j)
+        top = self.entries[i][:j] + self.entries[i][j + 1:]
+        col = (row[j] for r, row in enumerate(self.entries) if r != i)
         rows = []
-        for r, row in enumerate(self.entries):
-            if r != i and not row[j].is_zero():
-                coef = row[j].scale(minus_inv)
+        for row, c in zip(m.entries, col):
+            if not c.is_zero():
+                coef = c.scale(minus_inv)
                 row = tuple(dot(((a, UNIT), (coef, b)))
                             for a, b in zip(row, top))
             rows.append(row)
-        return GradedMatrix(rows, self.row_twists,
-                            self.col_twists).minor(i, j)
+        return GradedMatrix(rows, m.row_twists, m.col_twists)
 
 
 def block_lower(top_left: GradedMatrix, bottom_left: GradedMatrix,
@@ -259,17 +256,25 @@ def mf_linear(i: int) -> MatrixFactorization:
     return MatrixFactorization(A, B, F)
 
 
-# The residue-field factorization, built from the quarter-derivatives via
-# f = X f_x + Y f_y, and the chain maps (phi0, psi0), (phiinf, psiinf) from
-# its suspension to its twist, built once like the factors above.
+# The residue-field factorization, built once from the quarter-derivatives
+# via f = X f_x + Y f_y.
 KST = MatrixFactorization(
     GradedMatrix(((X, Y), (-FY, FX)), (0, -2), (1, 1)),
     GradedMatrix(((FX, -Y), (FY, X)), (1, 1), (4, 2)), F)
-_Z = BivariatePoly.zero()
-PHI_PSI = (GradedMatrix(((_Z, UNIT), (_Z, -FY_OVER_X)), (2, 0), (2, 2)),
-           GradedMatrix(((-FY_OVER_X, -UNIT), (_Z, _Z)), (3, 3), (5, 3)),
-           GradedMatrix(((UNIT, _Z), (FX_OVER_Y, _Z)), (2, 0), (2, 2)),
-           GradedMatrix(((_Z, _Z), (-FX_OVER_Y, UNIT)), (3, 3), (5, 3)))
+
+
+def _chain_maps(s: Scalar, t: Scalar):
+    """The chain maps from the suspension of KST to its twist at [s : t],
+    linear in (s, t): phi = [[s, t], [s*f_x/Y, -t*f_y/X]] and
+    psi = [[-t*f_y/X, -t], [-s*f_x/Y, s]]."""
+    fx, fy = FX_OVER_Y.scale(s), FY_OVER_X.scale(-t)
+    c_s, c_t = UNIT.scale(s), UNIT.scale(t)
+    return (GradedMatrix(((c_s, c_t), (fx, fy)), (2, 0), (2, 2)),
+            GradedMatrix(((fy, -c_t), (-fx, c_s)), (3, 3), (5, 3)))
+
+
+# (phi0, psi0, phiinf, psiinf): the pencil at [0 : 1] and at [1 : 0].
+PHI_PSI = (*_chain_maps(ZERO, ONE), *_chain_maps(ONE, ZERO))
 
 
 def mf_kst() -> MatrixFactorization:
@@ -280,37 +285,21 @@ def mf_kst() -> MatrixFactorization:
 
 def phi_psi_maps():
     """The chain maps (phi0, psi0, phiinf, psiinf) from the suspension of
-    the residue-field factorization to its twist, whose cones realize the
-    degree-two skyscrapers; the module tuple PHI_PSI on every call."""
+    the residue-field factorization to its twist; the map at [p0 : p1] is
+    the pencil p1*(phi0, psi0) + p0*(phiinf, psiinf), whose cone realizes
+    the degree-two skyscraper there.  The module tuple PHI_PSI, computed
+    by the same function as the cone's maps, on every call."""
     return PHI_PSI
 
 
-def _phi_psi_at(p: PointP1):
-    phi0, psi0, phiinf, psiinf = PHI_PSI
-
-    def comb(m0, minf):
-        """m0 + p0*minf for p = [p0 : 1], and minf at p = [1 : 0]; both
-        maps carry the same twists."""
-        if not p.p1:
-            return minf
-        p0 = BivariatePoly.monomial(0, 0, p.p0)
-        rows = tuple(tuple(dot(((a, UNIT), (p0, b))) for a, b in zip(r0, rinf))
-                     for r0, rinf in zip(m0.entries, minf.entries))
-        return GradedMatrix(rows, m0.row_twists, m0.col_twists)
-
-    return comb(phi0, phiinf), comb(psi0, psiinf)
-
-
 def mf_cone(p: PointP1) -> MatrixFactorization:
-    """4x4 cone factorization over the point p, gluing the suspended
-    residue-field factorization to its twist along phi_p."""
-    phi_p, psi_p = _phi_psi_at(p)
-    src_a = KST.A.twist(1)
-    src_b = KST.B.twist(1)
-    tgt_a = KST.A.twist(2)
-    tgt_b = KST.B.twist(2)
-    c1 = block_lower(src_a, phi_p.neg(), tgt_a)
-    c2 = block_lower(src_b, psi_p.neg(), tgt_b)
+    """4x4 cone factorization over the point p = [p0 : p1], gluing the
+    suspended residue-field factorization to its twist along
+    -(phi_p, psi_p); the pencil is linear in the point, so the negated maps
+    are the pencil at (-p0, -p1)."""
+    neg_phi, neg_psi = _chain_maps(-p.p0, -p.p1)
+    c1 = block_lower(KST.A.twist(1), neg_phi, KST.A.twist(2))
+    c2 = block_lower(KST.B.twist(1), neg_psi, KST.B.twist(2))
     return MatrixFactorization(c1, c2, F)
 
 

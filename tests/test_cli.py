@@ -280,6 +280,25 @@ def test_mf_reader_checks_f(capsys, tmp_path):
     assert "f:" in capsys.readouterr().err
 
 
+def test_mf_betti_rejects_non_factorization(capsys, tmp_path):
+    # mf_linear(1) with A = (Y) instead of (X): twists and homogeneity
+    # hold, so only the product A*B = f fails.
+    code, out = invoke(capsys, "mf", "build", "linear", "1",
+                       "--format", "json")
+    doc = json.loads(out)
+    doc["A"]["rows"] = [[[{"c": ["1"], "x": 0, "y": 1}]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["mf", "reduce", str(path)]) == 1
+    reduce_err = capsys.readouterr().err
+    assert reduce_err.startswith("error: input fails verification: ")
+    for fmt in ("text", "json", "csv"):
+        assert run(["mf", "betti", str(path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == reduce_err
+
+
 def test_bad_input_exit_2(capsys, tmp_path):
     assert run(["roots", "--m-max", "-1"]) == 2
     path = tmp_path / "binary.json"

@@ -35,18 +35,24 @@ def partial(p, var):
         for (i, j), c in p.terms if (i, j)[var]})
 
 
+def quarter_cofactors():
+    """f_x/Y and f_y/X written out by hand."""
+    lam, quarter = LAMBDA, Scalar.of(Fraction(1, 4))
+    fx_over_y = ((X * X).scale(3) - (X * Y).scale(2 * (ONE + lam))
+                 + (Y * Y).scale(lam)).scale(quarter)
+    fy_over_x = (X * X - (X * Y).scale(2 * (ONE + lam))
+                 + (Y * Y).scale(3 * lam)).scale(quarter)
+    return fx_over_y, fy_over_x
+
+
 def test_constants_identities():
     f, lin, fx, fy = constants()
     lam = LAMBDA
     assert f == X * Y * (X - Y) * (X - Y.scale(lam))
     assert lin[0] * lin[1] * lin[2] * lin[3] == f
     assert X * fx + Y * fy == f
-    quarter = Scalar.of(Fraction(1, 4))
     assert fx.scale(4) == partial(f, 0) and fy.scale(4) == partial(f, 1)
-    fx_over_y = ((X * X).scale(3) - (X * Y).scale(2 * (ONE + lam))
-                 + (Y * Y).scale(lam)).scale(quarter)
-    fy_over_x = (X * X - (X * Y).scale(2 * (ONE + lam))
-                 + (Y * Y).scale(3 * lam)).scale(quarter)
+    fx_over_y, fy_over_x = quarter_cofactors()
     assert fx == Y * fx_over_y and fy == X * fy_over_x
     phi0, _, phiinf, _ = phi_psi_maps()
     assert phi0.entry(1, 1) == -fy_over_x
@@ -102,6 +108,48 @@ def test_phi_psi_chain_maps():
         for i in range(2):
             for j in range(2):
                 assert (lhs.entry(i, j) + rhs.entry(i, j)).is_zero()
+
+
+def test_phi_psi_entries_pinned():
+    fxy, fyx = quarter_cofactors()
+    one, z = BivariatePoly.monomial(0, 0), BivariatePoly.zero()
+    want = (((z, one), (z, -fyx)), ((-fyx, -one), (z, z)),
+            ((one, z), (fxy, z)), ((z, z), (-fxy, one)))
+    for got, entries in zip(phi_psi_maps(), want):
+        assert got.entries == entries
+    for phi, psi in (phi_psi_maps()[:2], phi_psi_maps()[2:]):
+        assert (phi.row_twists, phi.col_twists) == ((2, 0), (2, 2))
+        assert (psi.row_twists, psi.col_twists) == ((3, 3), (5, 3))
+
+
+def lower_left(g):
+    return tuple(row[:2] for row in g.entries[2:])
+
+
+def negated(g):
+    return tuple(tuple(-e for e in row) for row in g.entries)
+
+
+def test_cone_glues_along_the_pencil():
+    """The lower-left blocks of mf_cone([p0 : p1]) are
+    -(p1*phi0 + p0*phiinf) and -(p1*psi0 + p0*psiinf)."""
+    phi0, psi0, phiinf, psiinf = phi_psi_maps()
+    pts = sample_points(12) + [PointP1(LAMBDA * a + b, ONE)
+                               for a in (-2, 1, 3) for b in (-1, 0, 5)]
+    for p in pts:
+        cone = mf_cone(p)
+        for got, m0, minf in ((cone.A, phi0, phiinf), (cone.B, psi0, psiinf)):
+            want = tuple(tuple(-(a.scale(p.p1) + b.scale(p.p0))
+                               for a, b in zip(r0, rinf))
+                         for r0, rinf in zip(m0.entries, minf.entries))
+            assert lower_left(got) == want
+    # The ends of the pencil glue along one map each.
+    cone = mf_cone(PointP1(Scalar.of(0), ONE))
+    assert (lower_left(cone.A), lower_left(cone.B)) == (negated(phi0),
+                                                        negated(psi0))
+    cone = mf_cone(PointP1(ONE, Scalar.of(0)))
+    assert (lower_left(cone.A), lower_left(cone.B)) == (negated(phiinf),
+                                                        negated(psiinf))
 
 
 def test_cone_verifies_symbolically():
@@ -329,6 +377,46 @@ def test_compose_matches_naive_sum_of_products():
     assert prod.entries == ((m.f, BivariatePoly.zero()),
                             (BivariatePoly.zero(), m.f))
     assert prod.entry(0, 1).terms == prod.entry(1, 0).terms == ()
+
+
+def test_schur_complement_matches_full_update_then_minor():
+    """Reference: update every cell by (column j) * u^-1 * (row i), then
+    take the (i, j) minor."""
+    rng = random.Random(79)
+    pivots = (("rational", Scalar.of(Fraction(-3, 2))),
+              ("rational", Scalar.of(5)), ("lambda", LAMBDA),
+              ("lambda", LAMBDA * 2 - 3), ("lambda", ONE / (LAMBDA + 1)))
+    seen = set()
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        i = rng.choice((0, nr - 1, rng.randrange(nr)))
+        j = rng.choice((0, nc - 1, rng.randrange(nc)))
+        u = [rng.randint(-2, 2) for _ in range(nr)]
+        v = [rng.randint(0, 3) for _ in range(nc)]
+        v[j] = u[i]
+        rows = [list(r) for r in _random_graded(rng, u, v).entries]
+        kind, pivot = rng.choice(pivots)
+        rows[i][j] = BivariatePoly.monomial(0, 0, pivot)
+        for r in range(nr):
+            if r != i and rng.random() < 0.4:
+                rows[r][j] = BivariatePoly.zero()
+        g = GradedMatrix(rows, u, v)
+        inv = pivot.inverse()
+        full = GradedMatrix(tuple(
+            tuple(e if r == i else e - rows[r][j] * rows[i][c].scale(inv)
+                  for c, e in enumerate(row))
+            for r, row in enumerate(rows)), u, v)
+        got = g.schur_complement(i, j)
+        assert got == full.minor(i, j)
+        assert not got.homogeneity_defects()
+        seen.add(kind)
+        seen.add(("row", i == 0, i == nr - 1))
+        seen.add(("col", j == 0, j == nc - 1))
+        seen.update("zero" if rows[r][j].is_zero() else "nonzero"
+                    for r in range(nr) if r != i)
+    assert {"lambda", "rational", "zero", "nonzero"} <= seen
+    assert {("row", True, False), ("row", False, True),
+            ("col", True, False), ("col", False, True)} <= seen
 
 
 def test_verify_catches_twist_and_homogeneity():
