@@ -5,7 +5,10 @@ and a small function that lays the result out as lines of text.  `render`
 prints it in the chosen format (text, json or csv); json output is
 canonical (sorted keys, no floats) so golden files regenerate byte-exactly.
 `run` alone reports errors and picks the exit code: 0 success, 1 failed
-verification/classification, 2 invalid input.
+verification/classification, 2 invalid input.  Each command and
+(de)serializer imports the layers it uses, so a process loads no other;
+a repeated import of a loaded module costs microseconds, against the tens
+of milliseconds a process takes to start.
 """
 from __future__ import annotations
 
@@ -15,10 +18,6 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-from . import k0, mf as mfmod, shift, tables, tubular
-from .poly import BivariatePoly
-from .qlambda import Scalar
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -62,7 +61,7 @@ def _is_int(v) -> bool:
 
 # --- serialization --------------------------------------------------------
 
-def scalar_to_coeffs(s: Scalar, where: str) -> list[str]:
+def scalar_to_coeffs(s: qlambda.Scalar, where: str) -> list[str]:
     try:
         coeffs = s.lambda_coeffs()
     except ValueError:
@@ -71,12 +70,14 @@ def scalar_to_coeffs(s: Scalar, where: str) -> list[str]:
     return [str(c) for c in coeffs]
 
 
-def poly_to_json(p: BivariatePoly, where: str):
+def poly_to_json(p: poly.BivariatePoly, where: str):
     return [{"x": i, "y": j, "c": scalar_to_coeffs(c, where)}
             for (i, j), c in p.terms]
 
 
-def poly_from_json(obj, where: str, numeric: bool) -> BivariatePoly:
+def poly_from_json(obj, where: str, numeric: bool) -> poly.BivariatePoly:
+    from .poly import BivariatePoly
+    from .qlambda import Scalar
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected array")
     terms = {}
@@ -103,7 +104,7 @@ def poly_from_json(obj, where: str, numeric: bool) -> BivariatePoly:
     return BivariatePoly.from_dict(terms)
 
 
-def gm_to_json(g: mfmod.GradedMatrix, where: str):
+def gm_to_json(g: mf.GradedMatrix, where: str):
     return {"rows": [[poly_to_json(e, f"{where}.rows[{i}][{j}]")
                       for j, e in enumerate(row)]
                      for i, row in enumerate(g.entries)],
@@ -111,7 +112,8 @@ def gm_to_json(g: mfmod.GradedMatrix, where: str):
             "col_twists": list(g.col_twists)}
 
 
-def gm_from_json(obj, where: str, numeric: bool) -> mfmod.GradedMatrix:
+def gm_from_json(obj, where: str, numeric: bool) -> mf.GradedMatrix:
+    from . import mf
     if not isinstance(obj, dict) or set(obj) != {"rows", "row_twists",
                                                  "col_twists"}:
         raise SchemaError(f"{where}: expected rows/row_twists/col_twists")
@@ -128,20 +130,21 @@ def gm_from_json(obj, where: str, numeric: bool) -> mfmod.GradedMatrix:
               for j, e in enumerate(row))
         for i, row in enumerate(rows))
     try:
-        return mfmod.GradedMatrix(entries, tuple(obj["row_twists"]),
-                                  tuple(obj["col_twists"]))
+        return mf.GradedMatrix(entries, tuple(obj["row_twists"]),
+                               tuple(obj["col_twists"]))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}")
 
 
-def mf_to_json(m: mfmod.MatrixFactorization, lam):
+def mf_to_json(m: mf.MatrixFactorization, lam):
     return {"lambda": "sym" if lam is None else str(lam),
             "f": poly_to_json(m.f, "f"),
             "A": gm_to_json(m.A, "A"),
             "B": gm_to_json(m.B, "B")}
 
 
-def mf_from_json(obj) -> tuple[mfmod.MatrixFactorization, Fraction | None]:
+def mf_from_json(obj) -> tuple[mf.MatrixFactorization, Fraction | None]:
+    from . import mf
     if not isinstance(obj, dict) or set(obj) != {"lambda", "f", "A", "B"}:
         raise SchemaError("root: expected lambda/f/A/B")
     lam = parse_lambda(obj["lambda"], "lambda")
@@ -149,10 +152,10 @@ def mf_from_json(obj) -> tuple[mfmod.MatrixFactorization, Fraction | None]:
     f = poly_from_json(obj["f"], "f", numeric)
     a = gm_from_json(obj["A"], "A", numeric)
     b = gm_from_json(obj["B"], "B", numeric)
-    quartic = mfmod.constants()[0]
+    quartic = mf.constants()[0]
     if f != (quartic if lam is None else quartic.specialize(lam)):
         raise SchemaError("f: not XY(X-Y)(X-lambda*Y) at the file's lambda")
-    return mfmod.MatrixFactorization(a, b, f), lam
+    return mf.MatrixFactorization(a, b, f), lam
 
 
 def betti_to_json(t: tables.BettiTable):
@@ -161,6 +164,7 @@ def betti_to_json(t: tables.BettiTable):
 
 
 def betti_from_json(obj) -> tables.BettiTable:
+    from . import tables
     if not isinstance(obj, dict) or set(obj) != {"entries"}:
         raise SchemaError("root: expected object with entries")
     if not isinstance(obj["entries"], list):
@@ -251,6 +255,7 @@ def _class_str(c) -> str:
 
 
 def cmd_roots(args):
+    from . import k0
     try:
         roots = k0.enumerate_real_roots(args.m_max, args.n_min, args.n_max)
     except ValueError as exc:
@@ -263,6 +268,7 @@ def cmd_roots(args):
 
 
 def cmd_class_info(args):
+    from . import k0
     cl = k0.K0Class(args.a0, (args.a1, args.a2, args.a3, args.a4), args.n)
     r, d, x, mu = k0.invariants(cl)
     info = k0.classify_root(cl)
@@ -281,6 +287,7 @@ def _class_info_text(c):
 
 
 def cmd_cohom(args):
+    from . import tables
     p = (args.r, args.d)
     try:
         one = tables.cohom_rank_one(p)
@@ -304,6 +311,7 @@ def _cohom_text(recs):
 
 
 def cmd_betti_catalog(args):
+    from . import tables
     recs = [{"kind": c.kind, "params": list(c.params), **betti_to_json(t)}
             for c, t in tables.catalog(args.a_max, args.b_max, args.r_max)]
     return recs, lambda recs: [
@@ -313,6 +321,7 @@ def cmd_betti_catalog(args):
 
 
 def cmd_classify_betti(args):
+    from . import tables
     t = betti_from_json(_read_json(args.file))
     try:
         cls = tables.normalize_and_classify(t)
@@ -328,6 +337,7 @@ def cmd_classify_betti(args):
 
 
 def _classify_text(c):
+    from . import tables
     cls = tables.BettiClass(c["kind"], tuple(c["params"]), c["shift"])
     n = c["count"]
     return [f"class: {cls}", f"rank: {c['r']}", f"degree: {c['d']}",
@@ -336,6 +346,7 @@ def _classify_text(c):
 
 
 def cmd_reduce_rd(args):
+    from . import shift
     try:
         (r, d), k = shift.reduce_to_fundamental((args.r, args.d))
     except ValueError as exc:
@@ -346,6 +357,7 @@ def cmd_reduce_rd(args):
 
 
 def cmd_slope_word(args):
+    from . import tubular
     q = parse_rational(args.slope, "slope")
     if q <= 0:
         raise SchemaError("slope: must be positive")
@@ -361,6 +373,7 @@ def _slope_word_text(c):
 
 
 def cmd_ulrich(args):
+    from . import tables
     recs = []
     for c, t in tables.catalog(args.a_max, args.b_max, args.r_max):
         _, e, mu, is_ulrich = tables.hilbert(t)
@@ -371,7 +384,9 @@ def cmd_ulrich(args):
         + ("  ULRICH" if c["ulrich"] else "") for c in recs]
 
 
-def _build_mf(args) -> tuple[mfmod.MatrixFactorization, Fraction | None]:
+def _build_mf(args) -> tuple[mf.MatrixFactorization, Fraction | None]:
+    from . import mf
+    from .qlambda import Scalar
     lam = parse_lambda(args.lam, "--lambda")
     which = args.what[0]
     rest = args.what[1:]
@@ -382,22 +397,22 @@ def _build_mf(args) -> tuple[mfmod.MatrixFactorization, Fraction | None]:
                               "point coordinates")
         vals = [parse_rational(s, "point") for s in rest]
         try:
-            return mfmod.PointP1(Scalar.of(vals[0]), Scalar.of(vals[1]))
+            return mf.PointP1(Scalar.of(vals[0]), Scalar.of(vals[1]))
         except ValueError as exc:
             raise SchemaError(f"point: {exc}")
 
     if which == "kst":
         if rest:
             raise SchemaError("mf build kst takes no arguments")
-        m = mfmod.mf_kst()
+        m = mf.mf_kst()
     elif which == "linear":
         if len(rest) != 1 or rest[0] not in ("1", "2", "3", "4"):
             raise SchemaError("mf build linear I: I must be 1..4")
-        m = mfmod.mf_linear(int(rest[0]))
+        m = mf.mf_linear(int(rest[0]))
     elif which == "cone":
-        m = mfmod.mf_cone(point(2))
+        m = mf.mf_cone(point(2))
     elif which == "reduced":
-        m = mfmod.mf_Mp_reduced(point(2))
+        m = mf.mf_Mp_reduced(point(2))
     else:
         raise SchemaError(f"unknown factorization {which!r}")
     if lam is not None:
@@ -424,13 +439,14 @@ def _verify_text(c):
 
 
 def cmd_mf(args):
+    from . import mf
     if args.action == "build":
         m, lam = _build_mf(args)
         return mf_to_json(m, lam), _mf_text
     if len(args.what) != 1:
         raise SchemaError(f"mf {args.action}: expected exactly one FILE")
     m, lam = mf_from_json(_read_json(args.what[0]))
-    cert = mfmod.verify_mf(m)
+    cert = mf.verify_mf(m)
     if args.action == "verify":
         report = {"ok": cert.ok,
                   "failures": [{"where": w, "i": i, "j": j, "defect": str(dd)}
@@ -443,9 +459,9 @@ def cmd_mf(args):
     if not cert.ok:
         raise CheckFailed(f"input fails verification: {cert.failures[0]}")
     if args.action == "reduce":
-        return mf_to_json(mfmod.reduce_mf(m), lam), _mf_text
+        return mf_to_json(mf.reduce_mf(m), lam), _mf_text
     try:
-        t = mfmod.betti_of_mf(m)
+        t = mf.betti_of_mf(m)
     except ValueError as exc:
         raise CheckFailed(str(exc)) from None
     return betti_to_json(t), lambda c: [

@@ -20,7 +20,6 @@ from functools import cached_property
 
 from .poly import UNIT, BivariatePoly, X, Y, dot
 from .qlambda import LAMBDA, ONE, ZERO, Scalar
-from .tables import BettiTable
 
 
 # The four ordered linear factors of f and the quarter-derivative cofactors
@@ -374,6 +373,7 @@ def is_minimal(m: MatrixFactorization) -> bool:
 def betti_of_mf(m: MatrixFactorization) -> BettiTable:
     """Betti numbers of the presented module, read off the twist vectors of
     a minimal factorization."""
+    from .tables import BettiTable
     if not is_minimal(m):
         raise ValueError("reduce first: factorization has unit entries")
     d: dict[tuple[int, int], int] = {}
