@@ -24,8 +24,11 @@ class K0Class:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        if len(self.a) != 4:
+        a = tuple(self.a)
+        if any(type(v) is not int for v in (self.a0, *a, self.n)):
+            raise TypeError("coordinates must be integers")
+        object.__setattr__(self, "a", a)
+        if len(a) != 4:
             raise ValueError("need exactly four eps_i coefficients")
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .k0 import K0Class, chi, degree, rank, tensor_omega, twist_by_c
 from .shift import Region, region
@@ -31,10 +32,12 @@ class CohomTable:
     rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rows = tuple((int(a), int(b)) for a, b in self.rows)
+        rows = tuple((a, b) for a, b in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != 4:
             raise TableError("need four rows")
+        if any(type(v) is not int for row in rows for v in row):
+            raise TableError("entries must be integers")
         if any(v < 0 for row in rows for v in row):
             raise TableError("negative entry")
         if sum(r[0] for r in rows) != sum(r[1] for r in rows):
@@ -55,12 +58,14 @@ class BettiTable:
     def __post_init__(self):
         items = []
         for (i, j), v in dict(self.entries).items():
+            if type(i) is not int or type(j) is not int or type(v) is not int:
+                raise TableError("indices and Betti numbers must be integers")
             if v:
                 if i not in (0, 1):
                     raise TableError("homological index must be 0 or 1")
                 if v < 0:
                     raise TableError("negative Betti number")
-                items.append(((int(i), int(j)), int(v)))
+                items.append(((i, j), v))
         items.sort()
         object.__setattr__(self, "entries", tuple(items))
 
@@ -160,6 +165,19 @@ def cohom_rank_two(p: tuple[int, int]) -> list[tuple[CohomTable, int, str]]:
     return [(diag, 8, "generic")]
 
 
+# chi, chi.tau, chi.c and chi.tau.c as coefficient vectors on K0Class.coords,
+# where tau = tensor_omega and c = twist_by_c; all four are linear, so each
+# is read off its values on the six basis classes.
+_BASIS = [K0Class(e[0], e[1:5], e[5])
+          for e in (tuple(int(i == k) for i in range(6)) for k in range(6))]
+_EULER_FUNCTIONALS = _CHI, _CHI_W, _CHI_C, _CHI_CW = tuple(
+    tuple(f(e) for e in _BASIS) for f in (
+        chi,
+        lambda cl: chi(tensor_omega(cl)),
+        lambda cl: chi(twist_by_c(cl)),
+        lambda cl: chi(tensor_omega(twist_by_c(cl)))))
+
+
 def cohom_via_euler(cl: K0Class) -> CohomTable:
     """Table of a root class from Euler characteristics alone, valid when the
     cohomology of one side vanishes for slope reasons (regions 1 and 3)."""
@@ -169,14 +187,12 @@ def cohom_via_euler(cl: K0Class) -> CohomTable:
         raise NotReducedError(f"euler method inapplicable in region {reg.name}"
                               if reg is Region.R2 else
                               f"{p} is not in the fundamental domain")
-    clw = tensor_omega(cl)
-    clc = twist_by_c(cl)
-    clcw = tensor_omega(clc)
+    x = cl.coords
+    h, hw = sum(map(mul, x, _CHI)), sum(map(mul, x, _CHI_W))
+    hc, hcw = sum(map(mul, x, _CHI_C)), sum(map(mul, x, _CHI_CW))
     if reg is Region.R1:
-        return CohomTable(((chi(cl), chi(clw)), (chi(clcw), chi(clc)),
-                           (0, 0), (0, 0)))
-    return CohomTable(((0, 0), (0, 0), (-chi(clw), -chi(cl)),
-                       (-chi(clc), -chi(clcw))))
+        return CohomTable(((h, hw), (hcw, hc), (0, 0), (0, 0)))
+    return CohomTable(((0, 0), (0, 0), (-hw, -h), (-hc, -hcw)))
 
 
 # --- Betti classification -------------------------------------------------
@@ -218,6 +234,12 @@ _GENERAL_OFFSETS = {
 }
 
 
+# Inverse of _GENERAL_OFFSETS: the one general kind a set of offsets names.
+_GENERAL_KIND_OF = {k: kind for kind, k in _GENERAL_OFFSETS.items()}
+_FIRST_KINDS_OF_PARITY = ((FIRST_KIND_EVEN_A, FIRST_KIND_EVEN_B),
+                          (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B))
+
+
 def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
     """Unshifted catalog table for a classification kind."""
     if kind in GENERAL_TYPES:
@@ -253,10 +275,13 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
 
     Every catalog table's support starts at j = 0 or j = 1, so the shift
     can only be min j or min j - 1.  At each of those two shifts the
-    parameters are read off in closed form, (a, b) = (min(b00, b12),
-    min(b01, b13)) for types I-V and r = sum_j b0j - 1 for the first-kind
-    shapes, and each candidate is confirmed against template_table, the
-    only statement of the shapes.  Exactly one candidate may match.
+    candidates are decoded, not searched for: (a, b) = (min(b00, b12),
+    min(b01, b13)), and the offsets of (b00, b01, b12, b13) over
+    (a, b, a, b) name the one general kind I-V that can match, by the
+    inverse of _GENERAL_OFFSETS; r = sum_j b0j - 1, and its parity names
+    the two first-kind shapes that can.  Each of these at most three
+    candidates is confirmed against template_table, the only statement of
+    the shapes.  Exactly one candidate may match.
     """
     if t.is_empty():
         raise TableError("empty table")
@@ -267,10 +292,14 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
     for m in (lo - 1, lo):
         shifted = translate_betti(t, m)
         e = shifted.as_dict()
-        ab = (min(e.get((0, 0), 0), e.get((1, 2), 0)),
-              min(e.get((0, 1), 0), e.get((1, 3), 0)))
-        for kind, params in ([(k, ab) for k in GENERAL_TYPES]
-                             + [(k, (r,)) for k in FIRST_KIND_TYPES]):
+        b00, b01 = e.get((0, 0), 0), e.get((0, 1), 0)
+        b12, b13 = e.get((1, 2), 0), e.get((1, 3), 0)
+        a, b = min(b00, b12), min(b01, b13)
+        general = _GENERAL_KIND_OF.get((b00 - a, b01 - b, b12 - a, b13 - b))
+        candidates = [(kind, (r,)) for kind in _FIRST_KINDS_OF_PARITY[r % 2]]
+        if general is not None:
+            candidates.insert(0, (general, (a, b)))
+        for kind, params in candidates:
             try:
                 if template_table(kind, params) == shifted:
                     matches.append(BettiClass(kind, params, m))

@@ -18,6 +18,17 @@ def random_class(rng, bound=10):
                    rng.randint(-bound, bound))
 
 
+def test_class_rejects_non_integer_coordinates():
+    # int() would make this a = (0, 1, 0, 0).
+    with pytest.raises(TypeError, match="integers"):
+        K0Class(1, (0.5, 1.7, 0, 0), 0)
+    with pytest.raises(TypeError, match="integers"):
+        K0Class(1.0, (0, 0, 0, 0), 0)
+    with pytest.raises(TypeError, match="integers"):
+        K0Class(1, (0, 0, 0, 0), True)
+    assert K0Class(1, [0, 1, 0, 0], 0).a == (0, 1, 0, 0)
+
+
 def test_structure_sheaf_invariants():
     assert invariants(STRUCTURE_SHEAF) == (1, 0, 1, Fraction(0))
 

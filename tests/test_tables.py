@@ -5,16 +5,23 @@ from math import gcd
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:       # test-only dependency; the property tests skip
+    st = None
+
 from ellmf import cli, tables
 from ellmf.k0 import (
-    K0Class, chi, degree, real_root_gamma_parts, rank, simple_class,
+    K0Class, chi, degree, real_root_classes_with_rd, real_root_gamma_parts,
+    rank, simple_class, tensor_omega, twist_by_c,
 )
 from ellmf.shift import Region, reduce_to_fundamental, region, shift_rd
 from ellmf.tables import (
-    BettiTable, CohomTable, NotReducedError, TableError, betti_from_cohom,
-    catalog, cohom_rank_one, cohom_rank_two, cohom_via_euler, hilbert,
-    indec_count, normalize_and_classify, rd_from_betti, suspend_betti,
-    template_table, translate_betti,
+    BettiClass, BettiTable, CohomTable, NotReducedError, TableError,
+    betti_from_cohom, catalog, cohom_rank_one, cohom_rank_two,
+    cohom_via_euler, hilbert, indec_count, normalize_and_classify,
+    rd_from_betti, suspend_betti, template_table, translate_betti,
 )
 
 
@@ -40,6 +47,14 @@ def test_cohom_table_balance():
         T((1, 0), (0, 0), (0, 0), (0, 0))
     with pytest.raises(TableError):
         T((1, 0), (0, 1), (0, 0))
+
+
+def test_cohom_table_rejects_non_integers():
+    # int() would make these ((1, 1), ..., (0, 0)) and pass the sum check.
+    with pytest.raises(TableError, match="integers"):
+        T((1.9, 1), (0, 0), (0, 0), (0, 0.9))
+    with pytest.raises(TableError, match="integers"):
+        T((True, 1), (0, 0), (0, 0), (0, 0))
 
 
 def test_rank_one_examples():
@@ -103,6 +118,44 @@ def test_cohom_via_euler_rejects_r2():
         cohom_via_euler(K0Class(2, (1, 1, 1, 1), -2))  # (2, 0)
 
 
+def _euler_reference(cl):
+    """cohom_via_euler by composing the K0 maps on each call."""
+    clw, clc = tensor_omega(cl), twist_by_c(cl)
+    clcw = tensor_omega(clc)
+    if region((rank(cl), degree(cl))) is Region.R1:
+        return T((chi(cl), chi(clw)), (chi(clcw), chi(clc)), (0, 0), (0, 0))
+    return T((0, 0), (0, 0), (-chi(clw), -chi(cl)), (-chi(clc), -chi(clcw)))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_euler_functionals_are_the_composed_maps():
+    coord = st.integers(-10**6, 10**6)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(coord, st.tuples(coord, coord, coord, coord), coord)
+    def check(a0, a, n):
+        cl = K0Class(a0, a, n)
+        got = [sum(x * f for x, f in zip(cl.coords, fn))
+               for fn in tables._EULER_FUNCTIONALS]
+        assert got == [chi(cl), chi(tensor_omega(cl)), chi(twist_by_c(cl)),
+                       chi(tensor_omega(twist_by_c(cl)))]
+
+    check()
+
+
+def test_cohom_via_euler_matches_composed_maps():
+    seen = 0
+    for r in range(13):
+        for d in range(-30, 31):
+            if region((r, d)) not in (Region.R1, Region.R3):
+                continue
+            for cl in real_root_classes_with_rd(r, d):
+                assert cohom_via_euler(cl) == _euler_reference(cl), cl
+                seen += 1
+    assert seen > 1000
+
+
 def test_cohom_via_euler_matches_listed_tables():
     for m in range(4):
         for a0, a in real_root_gamma_parts(m):
@@ -122,6 +175,18 @@ def test_betti_from_cohom():
     t = betti_from_cohom(T((1, 0), (0, 1), (0, 0), (0, 0)))
     assert t.as_dict() == {(0, 0): 1, (1, 3): 1}
     assert betti_from_cohom(T((0, 0), (0, 0), (0, 0), (0, 0))).is_empty()
+
+
+def test_betti_table_rejects_non_integers():
+    # int() would truncate 2.5 to 2 and balance the table.
+    with pytest.raises(TableError, match="integers"):
+        B({(0, 0): 2.5, (1, 2): 2})
+    with pytest.raises(TableError, match="integers"):
+        B({(0, 0.0): 1, (1, 2): 1})
+    with pytest.raises(TableError, match="integers"):
+        B({(0, 0): True, (1, 2): 1})
+    with pytest.raises(TableError, match="integer"):
+        translate_betti(B({(0, 0): 1}), 0.5)
 
 
 def test_translate_and_suspend():
@@ -145,6 +210,14 @@ def test_template_constraints():
         template_table("first-kind-odd-a", (2,))
     with pytest.raises(TableError):
         template_table("first-kind-even-a", (3,))
+    with pytest.raises(TableError):
+        template_table("II", (1.0, 2))
+
+
+def test_general_offsets_are_distinct():
+    # The decoder reads the kind back off the offsets.
+    rows = list(tables._GENERAL_OFFSETS.values())
+    assert len(rows) == len(set(rows)) == len(tables.GENERAL_TYPES)
 
 
 def test_classification_examples():
@@ -171,8 +244,10 @@ def test_ambiguous_classification_is_table_error(monkeypatch, tmp_path,
                                                 capsys):
     """Two matching templates raise TableError, so the CLI exits 1."""
     real = tables.template_table
+    # The decoder confirms I(1, 1) and, patched, first-kind-odd-a(1) as well.
     monkeypatch.setattr(tables, "template_table", lambda kind, params:
-                        real("I", params) if len(params) == 2
+                        real("I", (1, 1))
+                        if (kind, params) == ("first-kind-odd-a", (1,))
                         else real(kind, params))
     table = B({(0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 1})
     with pytest.raises(TableError, match="ambiguous classification"):
@@ -181,6 +256,51 @@ def test_ambiguous_classification_is_table_error(monkeypatch, tmp_path,
     path.write_text(json.dumps(cli.betti_to_json(table)))
     assert cli.run(["classify-betti", str(path)]) == 1
     assert "ambiguous classification" in capsys.readouterr().err
+
+
+def test_classification_confirms_at_most_three_per_shift(monkeypatch):
+    real_template = tables.template_table
+    real_translate = tables.translate_betti
+    classes, calls = catalog(8, 8, 24), []
+
+    def template(kind, params):
+        calls[-1] += 1
+        return real_template(kind, params)
+
+    def translate(t, m):
+        calls.append(0)
+        return real_translate(t, m)
+
+    monkeypatch.setattr(tables, "template_table", template)
+    monkeypatch.setattr(tables, "translate_betti", translate)
+    for c, t in classes:
+        for m in (-5, 0, 1, 9):
+            calls.clear()
+            got = normalize_and_classify(real_translate(t, -m))
+            assert (got.kind, got.params, got.shift) == (c.kind, c.params, m)
+            assert len(calls) == 2 and max(calls) <= 3, (c, m, calls)
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_classification_round_trip_property():
+    classes = catalog(8, 8, 24)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(classes), st.integers(-10**6, 10**6),
+           st.booleans())
+    def check(entry, m, suspend):
+        c, t = entry
+        table = translate_betti(t, -m)
+        if suspend:
+            table = suspend_betti(table)
+        got = normalize_and_classify(table)
+        assert translate_betti(template_table(got.kind, got.params),
+                               -got.shift) == table
+        if not suspend:
+            assert got == BettiClass(c.kind, c.params, m)
+
+    check()
 
 
 def test_classification_ignores_support_spread():
@@ -269,7 +389,6 @@ def test_catalog_closure_under_suspension():
 
 
 def test_indec_counts():
-    from ellmf.tables import BettiClass
     assert indec_count(BettiClass("II", (0, 1))).finite == 4
     assert indec_count(BettiClass("I", (1, 2))).finite == 6
     fam = indec_count(BettiClass("I", (1, 1)))
