@@ -1,0 +1,45 @@
+"""The base of the package's immutable value classes."""
+from operator import attrgetter
+
+
+class Record:
+    """A value with named fields, fixed once built.
+
+    A subclass lists its fields in __slots__, in the order of its own
+    __init__'s parameters, with "__dict__" after them when it needs one
+    (functools.cached_property does), and sets each field once through
+    object.__setattr__; assigning or deleting an attribute afterwards
+    raises AttributeError.  Two records are equal when they are of one
+    class and their fields are equal, and the hash is that of the tuple of
+    fields.  == reads the class's _key: the slot itself for one field, so
+    the comparison costs one slot read a side, else the tuple of fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._fields = fields
+        cls._key = (vars(cls)[fields[0]] if len(fields) == 1
+                    else property(attrgetter(*fields)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, n) for n in self._fields]))
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, n) for n in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -433,8 +433,9 @@ def _mf_text(doc):
 
 
 def _verify_text(c):
+    from .mf import failure_text
     return ["ok" if c["ok"] else "FAIL"] + [
-        f"  {x['where']} ({x['i']},{x['j']}): {x['defect']}"
+        "  " + failure_text(x["where"], x["i"], x["j"], x["defect"])
         for x in c["failures"]]
 
 
@@ -457,7 +458,8 @@ def cmd_mf(args):
     # betti reads twists alone, so a file that is no factorization is
     # refused here as reduce refuses it.
     if not cert.ok:
-        raise CheckFailed(f"input fails verification: {cert.failures[0]}")
+        raise CheckFailed("input fails verification: "
+                          + mf.failure_text(*cert.failures[0]))
     if args.action == "reduce":
         return mf_to_json(mf.reduce_mf(m), lam), _mf_text
     try:

@@ -9,27 +9,27 @@ the Euler pairing and the affine-D4 root classification all live here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class K0Class:
+
+class K0Class(Record):
     """Integer vector (a0; a1..a4; n) in the basis (eps0, eps1..eps4, delta)."""
 
-    a0: int
-    a: tuple[int, int, int, int]
-    n: int
+    __slots__ = ("a0", "a", "n")
 
-    def __post_init__(self):
-        a = tuple(self.a)
-        if any(type(v) is not int for v in (self.a0, *a, self.n)):
+    def __init__(self, a0: int, a: tuple[int, int, int, int], n: int):
+        a = tuple(a)
+        if any(type(v) is not int for v in (a0, *a, n)):
             raise TypeError("coordinates must be integers")
-        object.__setattr__(self, "a", a)
         if len(a) != 4:
             raise ValueError("need exactly four eps_i coefficients")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n", n)
 
     @property
     def coords(self) -> tuple[int, int, int, int, int, int]:
@@ -117,12 +117,14 @@ def twist_by_c(cl: K0Class) -> K0Class:
     return K0Class(cl.a0, cl.a, cl.n + cl.a0)
 
 
-@dataclass(frozen=True)
-class LVector:
+class LVector(Record):
     """Element of the Picard group in generators x1..x4, c with 2 x_i = c."""
 
-    x: tuple[int, int, int, int]
-    c: int
+    __slots__ = ("x", "c")
+
+    def __init__(self, x: tuple[int, int, int, int], c: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "c", c)
 
     def normal_form(self) -> "LVector":
         """Absorb the relations 2 x_i = c so every x-coefficient is 0 or 1."""
@@ -174,10 +176,12 @@ class RootKind(Enum):
     NOT_ROOT = "not-root"
 
 
-@dataclass(frozen=True)
-class RootInfo:
-    kind: RootKind
-    is_sheaf_class: bool
+class RootInfo(Record):
+    __slots__ = ("kind", "is_sheaf_class")
+
+    def __init__(self, kind: RootKind, is_sheaf_class: bool):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "is_sheaf_class", is_sheaf_class)
 
 
 def classify_root(cl: K0Class) -> RootInfo:

@@ -14,10 +14,10 @@ the same object twice composes once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record
 from .poly import UNIT, BivariatePoly, X, Y, dot
 from .qlambda import LAMBDA, ONE, ZERO, Scalar
 
@@ -47,26 +47,24 @@ def constants():
     return F, LINEAR, FX, FY
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
+class GradedMatrix(Record):
     """Matrix over the bivariate ring with twist data: row i is the summand
     S(-u_i) of the target, column j the summand S(-v_j) of the source, so a
     nonzero entry (i, j) must be homogeneous of degree v_j - u_i."""
 
-    entries: tuple[tuple[BivariatePoly, ...], ...]
-    row_twists: tuple[int, ...]
-    col_twists: tuple[int, ...]
+    __slots__ = ("entries", "row_twists", "col_twists")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           tuple(tuple(row) for row in self.entries))
-        object.__setattr__(self, "row_twists", tuple(self.row_twists))
-        object.__setattr__(self, "col_twists", tuple(self.col_twists))
-        if len(self.entries) != len(self.row_twists):
+    def __init__(self, entries, row_twists, col_twists):
+        entries = tuple(tuple(row) for row in entries)
+        row_twists, col_twists = tuple(row_twists), tuple(col_twists)
+        if len(entries) != len(row_twists):
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != len(self.col_twists):
+        for row in entries:
+            if len(row) != len(col_twists):
                 raise ValueError("column count mismatch")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "row_twists", row_twists)
+        object.__setattr__(self, "col_twists", col_twists)
 
     @property
     def nrows(self) -> int:
@@ -150,25 +148,30 @@ def block_lower(top_left: GradedMatrix, bottom_left: GradedMatrix,
                         top_left.col_twists + bottom_right.col_twists)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of verify_mf; failures are (label, i, j, defect)."""
+class Certificate(Record):
+    """Outcome of verify_mf; failures are (label, i, j, defect), each
+    printed by failure_text."""
 
-    ok: bool
-    failures: tuple
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", failures)
 
 
-@dataclass(frozen=True)
-class MatrixFactorization:
+class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
     and every field under it are immutable, so its certificate (see
     verify_mf) depends on its value alone: it is computed on first use and
     cached on this object, and lives as long as the object does.
     specialize builds a new object, which is checked afresh."""
 
-    A: GradedMatrix
-    B: GradedMatrix
-    f: BivariatePoly
+    __slots__ = ("A", "B", "f", "__dict__")
+
+    def __init__(self, A: GradedMatrix, B: GradedMatrix, f: BivariatePoly):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "f", f)
 
     def specialize(self, value) -> "MatrixFactorization":
         return MatrixFactorization(self.A.specialize(value),
@@ -201,6 +204,11 @@ class MatrixFactorization:
         return Certificate(not fails, tuple(fails))
 
 
+def failure_text(label: str, i: int, j: int, defect) -> str:
+    """One failure as `mf verify` prints it: `A*B (0,0): <defect>`."""
+    return f"{label} ({i},{j}): {defect}"
+
+
 def _product_defects(label, prod: GradedMatrix, f: BivariatePoly,
                      fails: list) -> None:
     """Append (label, i, j, entry - f*delta_ij) for each wrong entry of
@@ -214,16 +222,14 @@ def _product_defects(label, prod: GradedMatrix, f: BivariatePoly,
                 fails.append((label, i, j, e - want))
 
 
-@dataclass(frozen=True)
-class PointP1:
+class PointP1(Record):
     """Projective point [p0 : p1], stored in canonical form: p1 = 1, or
     (p0, p1) = (1, 0)."""
 
-    p0: Scalar
-    p1: Scalar
+    __slots__ = ("p0", "p1")
 
-    def __post_init__(self):
-        p0, p1 = Scalar.of(self.p0), Scalar.of(self.p1)
+    def __init__(self, p0, p1):
+        p0, p1 = Scalar.of(p0), Scalar.of(p1)
         if not p0 and not p1:
             raise ValueError("(0, 0) is not a projective point")
         if p1:
@@ -357,7 +363,8 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     """
     cert = m.certificate
     if not cert.ok:
-        raise ValueError(f"input fails verification: {cert.failures[0]}")
+        raise ValueError("input fails verification: "
+                         + failure_text(*cert.failures[0]))
     A, B = m.A, m.B
     while (hit := _find_scalar(A)) is not None:
         A, B = A.schur_complement(*hit), B.minor(hit[1], hit[0])
@@ -388,13 +395,17 @@ BRANCH_POINTS = (PointP1(Scalar.of(0), ONE), PointP1(ONE, Scalar.of(0)),
                  PointP1(ONE, ONE), PointP1(LAMBDA, ONE))
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    index: int
-    mp_rd: tuple[int, int]
-    sub_rd: tuple[int, int]
-    quot_rd: tuple[int, int]
-    additive: bool
+class BranchReport(Record):
+    __slots__ = ("index", "mp_rd", "sub_rd", "quot_rd", "additive")
+
+    def __init__(self, index: int, mp_rd: tuple[int, int],
+                 sub_rd: tuple[int, int], quot_rd: tuple[int, int],
+                 additive: bool):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "mp_rd", mp_rd)
+        object.__setattr__(self, "sub_rd", sub_rd)
+        object.__setattr__(self, "quot_rd", quot_rd)
+        object.__setattr__(self, "additive", additive)
 
 
 def lemma63_invariants(i: int) -> BranchReport:

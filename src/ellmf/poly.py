@@ -9,21 +9,19 @@ common denominator and canonicalised once per entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .qlambda import Scalar
 from .qlambda import dot as scalar_dot
 
 
-@dataclass(frozen=True)
-class BivariatePoly:
+class BivariatePoly(Record):
     """Finitely supported (x-exponent, y-exponent) -> nonzero Scalar."""
 
-    terms: tuple[tuple[tuple[int, int], Scalar], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms):
         merged: dict[tuple[int, int], Scalar] = {}
-        for (i, j), c in self.terms:
+        for (i, j), c in terms:
             if i < 0 or j < 0:
                 raise ValueError("negative exponent")
             c = Scalar.of(c)
@@ -36,7 +34,7 @@ class BivariatePoly:
     @classmethod
     def _trusted(cls, terms) -> "BivariatePoly":
         """For terms that are already sorted, merged, nonzero and canonical:
-        skips __post_init__."""
+        skips the merge of __init__."""
         p = object.__new__(cls)
         object.__setattr__(p, "terms", terms)
         return p

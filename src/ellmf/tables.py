@@ -8,10 +8,10 @@ reads off.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
+from ._record import Record
 from .k0 import K0Class, chi, degree, rank, tensor_omega, twist_by_c
 from .shift import Region, region
 
@@ -24,16 +24,14 @@ class TableError(ValueError):
     """Malformed or unclassifiable table."""
 
 
-@dataclass(frozen=True)
-class CohomTable:
+class CohomTable(Record):
     """Rows: (h0 F, h0 Fw), (h0 F(c)w, h0 F(c)), (h1 Fw, h1 F),
     (h1 F(c), h1 F(c)w).  Both column sums agree."""
 
-    rows: tuple[tuple[int, int], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple((a, b) for a, b in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, int], ...]):
+        rows = tuple((a, b) for a, b in rows)
         if len(rows) != 4:
             raise TableError("need four rows")
         if any(type(v) is not int for row in rows for v in row):
@@ -42,22 +40,22 @@ class CohomTable:
             raise TableError("negative entry")
         if sum(r[0] for r in rows) != sum(r[1] for r in rows):
             raise TableError("column sums differ")
+        object.__setattr__(self, "rows", rows)
 
     def mirror(self) -> "CohomTable":
         """Swap columns: the table of the canonical twist."""
         return CohomTable(tuple((b, a) for a, b in self.rows))
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Record):
     """Finitely supported (i, j) -> count with i in {0, 1}, representing the
     complete table modulo the period-(2, 4) repetition."""
 
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[tuple[int, int], int], ...]):
         items = []
-        for (i, j), v in dict(self.entries).items():
+        for (i, j), v in dict(entries).items():
             if type(i) is not int or type(j) is not int or type(v) is not int:
                 raise TableError("indices and Betti numbers must be integers")
             if v:
@@ -212,11 +210,13 @@ FIRST_KIND_TYPES = (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B,
                     FIRST_KIND_EVEN_A, FIRST_KIND_EVEN_B)
 
 
-@dataclass(frozen=True)
-class BettiClass:
-    kind: str
-    params: tuple[int, ...]
-    shift: int = 0
+class BettiClass(Record):
+    __slots__ = ("kind", "params", "shift")
+
+    def __init__(self, kind: str, params: tuple[int, ...], shift: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "shift", shift)
 
     def __str__(self) -> str:
         inner = ",".join(str(v) for v in self.params)
@@ -332,13 +332,17 @@ def rd_from_betti(t: BettiTable) -> tuple[int, int]:
     return twice_r // 2, d
 
 
-@dataclass(frozen=True)
-class IndecCount:
-    """Finite(k) or a one-parameter family of a given level."""
+class IndecCount(Record):
+    """Finite(k) or a one-parameter family of a given level; base is
+    "full-line" or "line-minus-infinity" for a family."""
 
-    finite: int | None
-    level: int | None = None
-    base: str | None = None        # "full-line" | "line-minus-infinity"
+    __slots__ = ("finite", "level", "base")
+
+    def __init__(self, finite: int | None, level: int | None = None,
+                 base: str | None = None):
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "base", base)
 
 
 def indec_count(c: BettiClass) -> IndecCount:

@@ -6,10 +6,10 @@ action produces the change-of-tube matrix from slope infinity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
+from ._record import Record
 from .k0 import K0Class, euler_pairing
 from .shift import mat_apply, mat_mul
 
@@ -17,17 +17,17 @@ R_MATRIX = ((1, 1), (0, 1))
 S_MATRIX = ((1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class MutationWord:
+class MutationWord(Record):
     """Word in the letters R, S, stored as runs (letter, k) of k >= 1 equal
     letters; rendered left-to-right outermost-first, so the rightmost letter
     acts first."""
 
-    runs: tuple[tuple[str, int], ...]
+    __slots__ = ("runs",)
 
-    def __post_init__(self):
-        if any(ch not in ("R", "S") or k < 1 for ch, k in self.runs):
+    def __init__(self, runs: tuple[tuple[str, int], ...]):
+        if any(ch not in ("R", "S") or k < 1 for ch, k in runs):
             raise ValueError("runs must be (R or S, k >= 1)")
+        object.__setattr__(self, "runs", runs)
 
     def __str__(self) -> str:
         return "".join(ch * k for ch, k in self.runs)
@@ -89,15 +89,21 @@ def phi_from_infinity(q):
     return (a, b), (c - m * a, d - m * b)
 
 
-@dataclass(frozen=True)
-class TubeInfo:
-    g: int
-    rank_one_exists: bool
-    rank_one_length: int | None
-    rank_two_length: int
-    finitely_many: bool
-    count_if_finite: int | None
-    has_exceptional: bool
+class TubeInfo(Record):
+    __slots__ = ("g", "rank_one_exists", "rank_one_length", "rank_two_length",
+                 "finitely_many", "count_if_finite", "has_exceptional")
+
+    def __init__(self, g: int, rank_one_exists: bool,
+                 rank_one_length: int | None, rank_two_length: int,
+                 finitely_many: bool, count_if_finite: int | None,
+                 has_exceptional: bool):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "rank_one_exists", rank_one_exists)
+        object.__setattr__(self, "rank_one_length", rank_one_length)
+        object.__setattr__(self, "rank_two_length", rank_two_length)
+        object.__setattr__(self, "finitely_many", finitely_many)
+        object.__setattr__(self, "count_if_finite", count_if_finite)
+        object.__setattr__(self, "has_exceptional", has_exceptional)
 
 
 def tube_invariants(p: tuple[int, int]) -> TubeInfo:

@@ -291,7 +291,10 @@ def test_mf_betti_rejects_non_factorization(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert run(["mf", "reduce", str(path)]) == 1
     reduce_err = capsys.readouterr().err
-    assert reduce_err.startswith("error: input fails verification: ")
+    # The first failure, as `mf verify` prints it.
+    assert reduce_err == (
+        "error: input fails verification: A*B (0,0): (1*L)Y^4 + "
+        "(-1 + -2*L)XY^3 + (2 + 1*L)X^2Y^2 + (-1)X^3Y\n")
     for fmt in ("text", "json", "csv"):
         assert run(["mf", "betti", str(path), "--format", fmt]) == 1
         captured = capsys.readouterr()

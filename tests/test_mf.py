@@ -319,8 +319,12 @@ def test_reduce_rejects_perturbed_cone_fresh_and_verified():
         bad = _with_entry(cone, "B", 0, 1, BivariatePoly.monomial(0, 0))
         if verified_first:
             assert not verify_mf(bad).ok
-        with pytest.raises(ValueError, match="input fails verification"):
+        with pytest.raises(ValueError) as info:
             reduce_mf(bad)
+        # The first failure, as `mf verify` prints it.
+        label, i, j, defect = verify_mf(bad).failures[0]
+        assert str(info.value) == (
+            f"input fails verification: {label} ({i},{j}): {defect}")
 
 
 def test_certificate_does_not_leak_through_specialize():

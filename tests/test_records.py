@@ -1,0 +1,199 @@
+"""The value semantics of the 15 immutable record classes.
+
+Each record has an exact repr `Name(field=value, ...)`, compares equal
+only to a record of its own class with equal fields, hashes as the tuple
+of its fields, builds from keywords with the same defaults, refuses
+assignment and deletion, and keeps its validation errors.
+"""
+import copy
+import pickle
+from types import SimpleNamespace
+
+import pytest
+
+from ellmf.k0 import K0Class, LVector, RootInfo, RootKind
+from ellmf.mf import (BranchReport, Certificate, GradedMatrix,
+                      MatrixFactorization, PointP1)
+from ellmf.poly import BivariatePoly
+from ellmf.tables import (BettiClass, BettiTable, CohomTable, IndecCount,
+                          TableError)
+from ellmf.tubular import MutationWord, TubeInfo
+
+X = BivariatePoly(terms=(((1, 0), 1),))
+Y = BivariatePoly(terms=(((0, 1), 1),))
+GX = GradedMatrix(entries=((X,),), row_twists=(0,), col_twists=(1,))
+GY = GradedMatrix(entries=((Y,),), row_twists=(1,), col_twists=(2,))
+S1 = "Scalar(num=(Fraction(1, 1),), den=(Fraction(1, 1),))"
+S2 = "Scalar(num=(Fraction(2, 1),), den=(Fraction(1, 1),))"
+RX = f"BivariatePoly(terms=(((1, 0), {S1}),))"
+RY = f"BivariatePoly(terms=(((0, 1), {S1}),))"
+RXY = f"BivariatePoly(terms=(((1, 1), {S1}),))"
+
+# (build from keywords, a different value of the same class, the field
+# names in order, the exact repr).  Each builder makes a fresh object.
+CASES = {
+    "BivariatePoly": (
+        lambda: BivariatePoly(terms=[((1, 0), 1)]), lambda: Y,
+        ("terms",), RX),
+    "GradedMatrix": (
+        lambda: GradedMatrix(entries=[[X]], row_twists=[0],
+                             col_twists=[1]),
+        lambda: GradedMatrix(((X,),), (0,), (2,)),
+        ("entries", "row_twists", "col_twists"),
+        f"GradedMatrix(entries=(({RX},),), row_twists=(0,), "
+        f"col_twists=(1,))"),
+    "Certificate": (
+        lambda: Certificate(ok=False, failures=(("f", -1, -1, "f is zero"),)),
+        lambda: Certificate(True, ()),
+        ("ok", "failures"),
+        "Certificate(ok=False, failures=(('f', -1, -1, 'f is zero'),))"),
+    "MatrixFactorization": (
+        lambda: MatrixFactorization(A=GX, B=GY, f=X * Y),
+        lambda: MatrixFactorization(GY, GX, X * Y),
+        ("A", "B", "f"),
+        f"MatrixFactorization(A=GradedMatrix(entries=(({RX},),), "
+        f"row_twists=(0,), col_twists=(1,)), B=GradedMatrix(entries="
+        f"(({RY},),), row_twists=(1,), col_twists=(2,)), f={RXY})"),
+    "PointP1": (
+        lambda: PointP1(p0=4, p1=2), lambda: PointP1(1, 0),
+        ("p0", "p1"), f"PointP1(p0={S2}, p1={S1})"),
+    "BranchReport": (
+        lambda: BranchReport(index=1, mp_rd=(0, 2), sub_rd=(0, 1),
+                             quot_rd=(0, 1), additive=True),
+        lambda: BranchReport(2, (0, 2), (0, 1), (0, 1), True),
+        ("index", "mp_rd", "sub_rd", "quot_rd", "additive"),
+        "BranchReport(index=1, mp_rd=(0, 2), sub_rd=(0, 1), "
+        "quot_rd=(0, 1), additive=True)"),
+    "K0Class": (
+        lambda: K0Class(a0=1, a=[0, 1, 0, 0], n=-2),
+        lambda: K0Class(1, (0, 1, 0, 0), 2),
+        ("a0", "a", "n"), "K0Class(a0=1, a=(0, 1, 0, 0), n=-2)"),
+    "LVector": (
+        lambda: LVector(x=(1, 0, 0, 0), c=1), lambda: LVector((1, 0, 0, 0), 2),
+        ("x", "c"), "LVector(x=(1, 0, 0, 0), c=1)"),
+    "RootInfo": (
+        lambda: RootInfo(kind=RootKind.REAL, is_sheaf_class=True),
+        lambda: RootInfo(RootKind.IMAGINARY, True),
+        ("kind", "is_sheaf_class"),
+        "RootInfo(kind=<RootKind.REAL: 'real'>, is_sheaf_class=True)"),
+    "CohomTable": (
+        lambda: CohomTable(rows=[[1, 1], [2, 2], [0, 0], [0, 0]]),
+        lambda: CohomTable(((1, 1), (2, 2), (0, 0), (1, 1))),
+        ("rows",), "CohomTable(rows=((1, 1), (2, 2), (0, 0), (0, 0)))"),
+    "BettiTable": (
+        lambda: BettiTable(entries=[((1, 2), 1), ((0, 0), 1), ((0, 1), 0)]),
+        lambda: BettiTable((((0, 0), 1), ((1, 3), 1))),
+        ("entries",), "BettiTable(entries=(((0, 0), 1), ((1, 2), 1)))"),
+    "BettiClass": (
+        lambda: BettiClass(kind="I", params=(1, 1)),
+        lambda: BettiClass("I", (1, 1), 1),
+        ("kind", "params", "shift"),
+        "BettiClass(kind='I', params=(1, 1), shift=0)"),
+    "IndecCount": (
+        lambda: IndecCount(finite=1), lambda: IndecCount(None, 1, "full-line"),
+        ("finite", "level", "base"),
+        "IndecCount(finite=1, level=None, base=None)"),
+    "MutationWord": (
+        lambda: MutationWord(runs=(("R", 2), ("S", 1))),
+        lambda: MutationWord((("R", 3),)),
+        ("runs",), "MutationWord(runs=(('R', 2), ('S', 1)))"),
+    "TubeInfo": (
+        lambda: TubeInfo(g=2, rank_one_exists=True, rank_one_length=1,
+                         rank_two_length=2, finitely_many=False,
+                         count_if_finite=None, has_exceptional=False),
+        lambda: TubeInfo(1, False, None, 1, True, 8, True),
+        ("g", "rank_one_exists", "rank_one_length", "rank_two_length",
+         "finitely_many", "count_if_finite", "has_exceptional"),
+        "TubeInfo(g=2, rank_one_exists=True, rank_one_length=1, "
+        "rank_two_length=2, finitely_many=False, count_if_finite=None, "
+        "has_exceptional=False)"),
+}
+# Records that hold no Scalar; Scalar itself does not pickle.
+PICKLABLE = {"Certificate", "BranchReport", "K0Class", "LVector", "RootInfo",
+             "CohomTable", "BettiTable", "BettiClass", "IndecCount",
+             "MutationWord", "TubeInfo"}
+
+
+def test_all_fifteen_classes_covered():
+    assert len(CASES) == 15
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_record_semantics(name):
+    build, other, fields, text = CASES[name]
+    x, twin, y = build(), build(), other()
+    assert type(x).__name__ == name
+    assert repr(x) == text
+    values = tuple(getattr(x, f) for f in fields)
+    assert x == twin and not x != twin and x is not twin
+    assert x != y and not x == y
+    # Equal fields in another class are not the same value.
+    assert x != SimpleNamespace(**dict(zip(fields, values)))
+    assert x != values
+    assert hash(x) == hash(twin) == hash(values)
+    assert len({x, twin, y}) == 2
+    assert copy.copy(x) == x
+    if name in PICKLABLE:
+        assert pickle.loads(pickle.dumps(x)) == x
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(y, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert tuple(getattr(x, f) for f in fields) == values
+
+
+def test_defaults_and_positional_order():
+    assert BettiClass("I", (1, 1)).shift == 0
+    assert IndecCount(3) == IndecCount(finite=3, level=None, base=None)
+    assert IndecCount(None, 2, "full-line").base == "full-line"
+    assert K0Class(1, (0, 0, 0, 0), 0) == K0Class(n=0, a=(0, 0, 0, 0), a0=1)
+
+
+def test_certificate_cache_is_not_a_field():
+    """The cached certificate (of X*Y = XY here) lives on the object but
+    takes no part in ==, hash or repr."""
+    build = CASES["MatrixFactorization"][0]
+    m, twin = build(), build()
+    assert m.certificate.ok and m.certificate is m.certificate
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: K0Class(1.0, (0, 0, 0, 0), 0), TypeError,
+     "coordinates must be integers"),
+    (lambda: K0Class(1, (0, 0, 0, True), 0), TypeError,
+     "coordinates must be integers"),
+    (lambda: K0Class(1, (0, 0, 0), 0), ValueError,
+     "need exactly four eps_i coefficients"),
+    (lambda: BettiTable((((0, 0), 1.0),)), TableError,
+     "indices and Betti numbers must be integers"),
+    (lambda: BettiTable((((2, 0), 1),)), TableError,
+     "homological index must be 0 or 1"),
+    (lambda: BettiTable((((0, 0), -1),)), TableError,
+     "negative Betti number"),
+    (lambda: CohomTable(((1, 1), (0, 0), (0, 0))), TableError,
+     "need four rows"),
+    (lambda: CohomTable(((1, 1), (0, 0), (0, 0), (0.0, 0))), TableError,
+     "entries must be integers"),
+    (lambda: CohomTable(((1, 1), (0, 0), (0, 0), (-1, -1))), TableError,
+     "negative entry"),
+    (lambda: CohomTable(((1, 0), (0, 0), (0, 0), (0, 0))), TableError,
+     "column sums differ"),
+    (lambda: PointP1(0, 0), ValueError, "(0, 0) is not a projective point"),
+    (lambda: MutationWord((("T", 1),)), ValueError,
+     "runs must be (R or S, k >= 1)"),
+    (lambda: MutationWord((("R", 0),)), ValueError,
+     "runs must be (R or S, k >= 1)"),
+    (lambda: GradedMatrix(((X,),), (0, 1), (1,)), ValueError,
+     "row count mismatch"),
+    (lambda: GradedMatrix(((X, X),), (0,), (1,)), ValueError,
+     "column count mismatch"),
+    (lambda: BivariatePoly((((-1, 0), 1),)), ValueError, "negative exponent"),
+])
+def test_validation_errors(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    # TableError is a ValueError; the check is for the exact class.
+    assert type(info.value) is error
+    assert str(info.value) == message

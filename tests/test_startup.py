@@ -3,7 +3,8 @@
 `import ellmf` loads no layer: its public names resolve on first use.  Each
 command run in a fresh interpreter loads exactly the layers it computes
 with, so `roots` never compiles the matrix-factorization stack and `mf
-build` never compiles the sheaf tables.
+build` never compiles the sheaf tables.  No command loads `dataclasses` or
+`inspect`: the value classes are plain `ellmf._record.Record` subclasses.
 """
 import importlib
 import json
@@ -44,29 +45,33 @@ EXPORTS = {
 }
 NAMES = sorted(n for names in EXPORTS.values() for n in names)
 
-# The layers each command loads besides `ellmf` and `ellmf.cli`.
-SHEAF = {"k0", "shift", "tables"}
-MF = {"mf", "poly", "qlambda"}
+# The modules each command loads besides `ellmf` and `ellmf.cli`; every
+# layer with a value class brings the record base `_record`.
+K0 = {"_record", "k0"}
+SHEAF = K0 | {"shift", "tables"}
+MF = {"_record", "mf", "poly", "qlambda"}
 COMMANDS = [
-    (["roots", "--m-max", "1"], {"k0"}),
-    (["class-info", "1", "1", "0", "0", "0", "0"], {"k0"}),
+    (["roots", "--m-max", "1"], K0),
+    (["class-info", "1", "1", "0", "0", "0", "0"], K0),
     (["cohom", "7", "-20"], SHEAF),
     (["classify-betti", "{table}"], SHEAF),
     (["ulrich", "--a-max", "2", "--b-max", "2", "--r-max", "4"], SHEAF),
     (["betti-catalog", "--a-max", "1", "--b-max", "1"], SHEAF),
     (["reduce-rd", "-3", "1"], {"shift"}),
-    (["slope-word", "2/5"], {"k0", "shift", "tubular"}),
+    (["slope-word", "2/5"], K0 | {"shift", "tubular"}),
     (["mf", "build", "cone", "1", "1", "--lambda", "2"], MF),
     (["mf", "verify", "{cone}"], MF),
     (["mf", "reduce", "{cone}"], MF),
     (["mf", "betti", "{reduced}"], MF | SHEAF),
 ]
 
-# Runs one command through cli.run, then prints the loaded ellmf modules.
+# Runs one command through cli.run, then prints the loaded ellmf modules
+# and which of `dataclasses` and `inspect` are loaded.
 CHILD = ("import json, sys; from ellmf.cli import run; "
          "code = run(sys.argv[1:]); "
-         "print(json.dumps(sorted(m for m in sys.modules "
-         "if m.startswith('ellmf')))); sys.exit(code)")
+         "print(json.dumps([sorted(m for m in sys.modules "
+         "if m.startswith('ellmf')), sorted({'dataclasses', 'inspect'} "
+         "& set(sys.modules))])); sys.exit(code)")
 
 
 def child_env() -> dict:
@@ -112,9 +117,10 @@ def test_command_loads_only_its_layers(inputs, argv, layers):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
     proc = python("-c", CHILD, *argv, "--format", "json")
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded, unwanted = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == sorted({"ellmf", "ellmf.cli"}
                             | {f"ellmf.{m}" for m in layers})
+    assert unwanted == []
 
 
 def test_public_names_pinned():
