@@ -5,14 +5,17 @@ from operator import attrgetter
 class Record:
     """A value with named fields, fixed once built.
 
-    A subclass lists its fields in __slots__, in the order of its own
-    __init__'s parameters, with "__dict__" after them when it needs one
-    (functools.cached_property does), and sets each field once through
-    object.__setattr__; assigning or deleting an attribute afterwards
-    raises AttributeError.  Two records are equal when they are of one
-    class and their fields are equal, and the hash is that of the tuple of
-    fields.  == reads the class's _key: the slot itself for one field, so
-    the comparison costs one slot read a side, else the tuple of fields.
+    A subclass lists its fields in __slots__, with "__dict__" after them
+    when it needs one (functools.cached_property does).  The inherited
+    __init__ takes the fields positionally in that order or by keyword and
+    stores each as given; a missing, unknown or doubled field raises
+    TypeError.  A subclass writes its own __init__, whose parameters are
+    the fields in that order, only to check, normalise or default them.
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    Two records are equal when they are of one class and their fields are
+    equal, and the hash is that of the tuple of fields.  == reads the
+    class's _key: the slot itself for one field, so the comparison costs
+    one slot read a side, else the tuple of fields.
     """
 
     __slots__ = ()
@@ -22,6 +25,21 @@ class Record:
         cls._fields = fields
         cls._key = (vars(cls)[fields[0]] if len(fields) == 1
                     else property(attrgetter(*fields)))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args))
+            if (len(args) > len(fields) or values.keys() & kwargs.keys()
+                    or values.keys() | kwargs.keys() != set(fields)):
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes each of the fields "
+                    f"{fields} once; got {len(args)} positional and "
+                    f"{sorted(kwargs)} by keyword")
+            values.update(kwargs)
+            args = [values[n] for n in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

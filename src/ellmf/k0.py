@@ -122,10 +122,6 @@ class LVector(Record):
 
     __slots__ = ("x", "c")
 
-    def __init__(self, x: tuple[int, int, int, int], c: int):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "c", c)
-
     def normal_form(self) -> "LVector":
         """Absorb the relations 2 x_i = c so every x-coefficient is 0 or 1."""
         xs = []
@@ -178,10 +174,6 @@ class RootKind(Enum):
 
 class RootInfo(Record):
     __slots__ = ("kind", "is_sheaf_class")
-
-    def __init__(self, kind: RootKind, is_sheaf_class: bool):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "is_sheaf_class", is_sheaf_class)
 
 
 def classify_root(cl: K0Class) -> RootInfo:

@@ -154,10 +154,6 @@ class Certificate(Record):
 
     __slots__ = ("ok", "failures")
 
-    def __init__(self, ok: bool, failures: tuple):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failures", failures)
-
 
 class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
@@ -167,11 +163,6 @@ class MatrixFactorization(Record):
     specialize builds a new object, which is checked afresh."""
 
     __slots__ = ("A", "B", "f", "__dict__")
-
-    def __init__(self, A: GradedMatrix, B: GradedMatrix, f: BivariatePoly):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "f", f)
 
     def specialize(self, value) -> "MatrixFactorization":
         return MatrixFactorization(self.A.specialize(value),
@@ -397,15 +388,6 @@ BRANCH_POINTS = (PointP1(Scalar.of(0), ONE), PointP1(ONE, Scalar.of(0)),
 
 class BranchReport(Record):
     __slots__ = ("index", "mp_rd", "sub_rd", "quot_rd", "additive")
-
-    def __init__(self, index: int, mp_rd: tuple[int, int],
-                 sub_rd: tuple[int, int], quot_rd: tuple[int, int],
-                 additive: bool):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "mp_rd", mp_rd)
-        object.__setattr__(self, "sub_rd", sub_rd)
-        object.__setattr__(self, "quot_rd", quot_rd)
-        object.__setattr__(self, "additive", additive)
 
 
 def lemma63_invariants(i: int) -> BranchReport:

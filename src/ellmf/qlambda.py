@@ -197,6 +197,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return _make, (self._n, self._d)
+
     @property
     def num(self) -> Poly:
         lead = self._d[-1]

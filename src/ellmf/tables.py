@@ -5,6 +5,15 @@ A cohomology table is the 4x2 array of section/obstruction dimensions of a
 sheaf, its canonical twist and their degree-c twists; positionally it *is*
 the Betti table of the presenting module, which is what betti_from_cohom
 reads off.
+
+Every table built here from Euler characteristics has one layout, _table.
+For an indecomposable F of type (r, d) in region R1 (d > 0) h1 vanishes for
+slope reasons on F, its canonical twist F(w) and their degree-c twists
+alike, and in region R3 (d < 0) h0 does.  So each entry is +-chi of one of
+those four sheaves, and since the twist by c adds r to an Euler
+characteristic, the two numbers h = chi(F) and hw = chi(F(w)) fix the whole
+table.  The generic tables of region R2 are the d = 0 case of the h0
+layout, at h = hw = 0.
 """
 from __future__ import annotations
 
@@ -12,7 +21,7 @@ from math import gcd
 from operator import mul
 
 from ._record import Record
-from .k0 import K0Class, chi, degree, rank, tensor_omega, twist_by_c
+from .k0 import K0Class, chi, degree, rank, tensor_omega
 from .shift import Region, region
 
 
@@ -112,22 +121,23 @@ def betti_from_cohom(t: CohomTable) -> BettiTable:
     return BettiTable.from_dict(d)
 
 
+def _table(p: tuple[int, int], h: int, hw: int) -> CohomTable:
+    """The table of type p = (r, d) with chi(F) = h and chi(F(w)) = hw."""
+    r, d = p
+    if d >= 0:
+        return CohomTable(((h, hw), (hw + r, h + r), (0, 0), (0, 0)))
+    return CohomTable(((0, 0), (0, 0), (-hw, -h), (-h - r, -hw - r)))
+
+
 def cohom_rank_one(p: tuple[int, int]) -> CohomTable | None:
     """Table of the self-canonical indecomposables of type (r, d), which
     exist iff gcd(r, d) is even; None when the gcd is odd."""
     r, d = p
-    reg = region(p)
-    if reg is Region.OUTSIDE:
+    if region(p) is Region.OUTSIDE:
         raise NotReducedError(f"{p} is not in the fundamental domain")
     if gcd(abs(r), abs(d)) % 2 == 1:
         return None
-    if reg is Region.R1:
-        h = d // 2
-        return CohomTable(((h, h), (h + r, h + r), (0, 0), (0, 0)))
-    if reg is Region.R2:
-        return CohomTable(((0, 0), (r, r), (0, 0), (0, 0)))
-    h = -d // 2
-    return CohomTable(((0, 0), (0, 0), (h, h), (h - r, h - r)))
+    return _table(p, d // 2, d // 2)
 
 
 def cohom_rank_two(p: tuple[int, int]) -> list[tuple[CohomTable, int, str]]:
@@ -143,37 +153,29 @@ def cohom_rank_two(p: tuple[int, int]) -> list[tuple[CohomTable, int, str]]:
             socle_o = CohomTable(((1, 0), (r - 1, r + 1), (1, 0), (0, 0)))
         else:
             socle_o = CohomTable(((1, 0), (r, r), (0, 1), (0, 0)))
-        generic = CohomTable(((0, 0), (r, r), (0, 0), (0, 0)))
         return [(socle_o, 1, "socle-O"), (socle_o.mirror(), 1, "socle-omega"),
-                (generic, 6, "generic")]
+                (_table(p, 0, 0), 6, "generic")]
 
-    def top_table(h0, h0w):
-        if reg is Region.R1:
-            return CohomTable(((h0, h0w), (h0w + r, h0 + r), (0, 0), (0, 0)))
-        return CohomTable(((0, 0), (0, 0), (-h0, -h0w), (-h0w - r, -h0 - r)))
-
+    # "chi+" is the table whose chi(F) - chi(F(w)) has the sign of d.
+    step = 1 if reg is Region.R1 else -1
     if d % 2 == 1:
-        plus = top_table((d + 1) // 2, (d - 1) // 2)
+        plus = _table(p, (d + step) // 2, (d - step) // 2)
         return [(plus, 4, "chi+"), (plus.mirror(), 4, "chi-")]
-    diag = top_table(d // 2, d // 2)
+    diag = _table(p, d // 2, d // 2)
     if r % 2 == 1:
-        plus = top_table(d // 2 + 1, d // 2 - 1)
+        plus = _table(p, d // 2 + step, d // 2 - step)
         return [(plus, 1, "chi+"), (plus.mirror(), 1, "chi-"),
                 (diag, 6, "generic")]
     return [(diag, 8, "generic")]
 
 
-# chi, chi.tau, chi.c and chi.tau.c as coefficient vectors on K0Class.coords,
-# where tau = tensor_omega and c = twist_by_c; all four are linear, so each
-# is read off its values on the six basis classes.
+# chi and chi.tau, where tau = tensor_omega, as coefficient vectors on
+# K0Class.coords; both are linear, so each is read off its values on the six
+# basis classes.
 _BASIS = [K0Class(e[0], e[1:5], e[5])
           for e in (tuple(int(i == k) for i in range(6)) for k in range(6))]
-_EULER_FUNCTIONALS = _CHI, _CHI_W, _CHI_C, _CHI_CW = tuple(
-    tuple(f(e) for e in _BASIS) for f in (
-        chi,
-        lambda cl: chi(tensor_omega(cl)),
-        lambda cl: chi(twist_by_c(cl)),
-        lambda cl: chi(tensor_omega(twist_by_c(cl)))))
+_CHI = tuple(chi(e) for e in _BASIS)
+_CHI_W = tuple(chi(tensor_omega(e)) for e in _BASIS)
 
 
 def cohom_via_euler(cl: K0Class) -> CohomTable:
@@ -186,11 +188,7 @@ def cohom_via_euler(cl: K0Class) -> CohomTable:
                               if reg is Region.R2 else
                               f"{p} is not in the fundamental domain")
     x = cl.coords
-    h, hw = sum(map(mul, x, _CHI)), sum(map(mul, x, _CHI_W))
-    hc, hcw = sum(map(mul, x, _CHI_C)), sum(map(mul, x, _CHI_CW))
-    if reg is Region.R1:
-        return CohomTable(((h, hw), (hcw, hc), (0, 0), (0, 0)))
-    return CohomTable(((0, 0), (0, 0), (-hw, -h), (-hc, -hcw)))
+    return _table(p, sum(map(mul, x, _CHI)), sum(map(mul, x, _CHI_W)))
 
 
 # --- Betti classification -------------------------------------------------

@@ -93,18 +93,6 @@ class TubeInfo(Record):
     __slots__ = ("g", "rank_one_exists", "rank_one_length", "rank_two_length",
                  "finitely_many", "count_if_finite", "has_exceptional")
 
-    def __init__(self, g: int, rank_one_exists: bool,
-                 rank_one_length: int | None, rank_two_length: int,
-                 finitely_many: bool, count_if_finite: int | None,
-                 has_exceptional: bool):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "rank_one_exists", rank_one_exists)
-        object.__setattr__(self, "rank_one_length", rank_one_length)
-        object.__setattr__(self, "rank_two_length", rank_two_length)
-        object.__setattr__(self, "finitely_many", finitely_many)
-        object.__setattr__(self, "count_if_finite", count_if_finite)
-        object.__setattr__(self, "has_exceptional", has_exceptional)
-
 
 def tube_invariants(p: tuple[int, int]) -> TubeInfo:
     """Lengths and counts of indecomposables of type (r, d), from gcd parity."""

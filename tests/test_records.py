@@ -108,10 +108,9 @@ CASES = {
         "rank_two_length=2, finitely_many=False, count_if_finite=None, "
         "has_exceptional=False)"),
 }
-# Records that hold no Scalar; Scalar itself does not pickle.
-PICKLABLE = {"Certificate", "BranchReport", "K0Class", "LVector", "RootInfo",
-             "CohomTable", "BettiTable", "BettiClass", "IndecCount",
-             "MutationWord", "TubeInfo"}
+# The records that keep no __init__ of their own.
+INHERITED_INIT = ("Certificate", "MatrixFactorization", "BranchReport",
+                  "LVector", "RootInfo", "TubeInfo")
 
 
 def test_all_fifteen_classes_covered():
@@ -133,8 +132,8 @@ def test_record_semantics(name):
     assert hash(x) == hash(twin) == hash(values)
     assert len({x, twin, y}) == 2
     assert copy.copy(x) == x
-    if name in PICKLABLE:
-        assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x
+    assert pickle.loads(pickle.dumps(x)) == x
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(x, field, getattr(y, field))
@@ -148,6 +147,22 @@ def test_defaults_and_positional_order():
     assert IndecCount(3) == IndecCount(finite=3, level=None, base=None)
     assert IndecCount(None, 2, "full-line").base == "full-line"
     assert K0Class(1, (0, 0, 0, 0), 0) == K0Class(n=0, a=(0, 0, 0, 0), a0=1)
+
+
+@pytest.mark.parametrize("name", INHERITED_INIT)
+def test_inherited_init_binds_each_field_once(name):
+    build, _, fields, _ = CASES[name]
+    cls, values = type(build()), [getattr(build(), f) for f in fields]
+    assert "__init__" not in vars(cls)
+    assert cls(*values) == cls(*values[:1], **dict(zip(fields[1:],
+                                                       values[1:])))
+    for args, kwargs in [
+            (values[:-1], {}),                              # missing
+            (values, {"extra": 0}),                         # unknown
+            ([*values, 0], {}),                             # one too many
+            (values, {fields[0]: values[0]})]:              # doubled
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 def test_certificate_cache_is_not_a_field():
