@@ -5,7 +5,8 @@ and a small function that lays the result out as lines of text.  `render`
 prints it in the chosen format (text, json or csv); json output is
 canonical (sorted keys, no floats) so golden files regenerate byte-exactly.
 `run` alone reports errors and picks the exit code: 0 success, 1 failed
-verification/classification, 2 invalid input.  Each command and
+verification/classification, 2 invalid input; a reader that closes
+stdout early ends the output, not the exit code.  Each command and
 (de)serializer imports the layers it uses, so a process loads no other;
 a repeated import of a loaded module costs microseconds, against the tens
 of milliseconds a process takes to start.
@@ -14,12 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+# Integer arguments stay within this many digits, so that q_form of a class
+# still prints within Python's 4300-digit int-to-str limit.
+MAX_INT_DIGITS = 1000
+# The longest word slope-word prints.
+MAX_WORD_LETTERS = 10 ** 6
 
 
 class SchemaError(ValueError):
@@ -38,7 +45,23 @@ class CheckFailed(Exception):
 def parse_rational(text: str, where: str = "argument") -> Fraction:
     if not RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"{where}: not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def _integer(text: str) -> int:
+    """The argparse type of every integer argument: an int of at most
+    MAX_INT_DIGITS digits."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if abs(value) >= 10 ** MAX_INT_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_INT_DIGITS} digits")
+    return value
 
 
 def parse_lambda(raw, where: str) -> Fraction | None:
@@ -193,7 +216,8 @@ def _read_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer over the int-to-str limit.
         raise SchemaError(f"invalid JSON: {exc}")
 
 
@@ -229,21 +253,25 @@ def _csv_cells(v) -> list[str]:
 def render(args, record, text) -> None:
     """Print a command result: its record as json or as one csv line per
     record (fields in the order the record was built, each padded with empty
-    cells to its widest value among the records), or `text(record)`."""
-    if args.format == "json":
-        emit_json(record)
-        return
-    if args.format == "csv":
-        rows = [[_csv_cells(v) for v in rec.values()]
-                for rec in (record if isinstance(record, list) else [record])]
-        widths = [max(map(len, field)) for field in zip(*rows)]
-        lines = [",".join(c for cells, w in zip(row, widths)
-                          for c in cells + [""] * (w - len(cells)))
-                 for row in rows]
-    else:
-        lines = text(record)
-    for line in lines:
-        print(line)
+    cells to its widest value among the records), or `text(record)`.  A
+    closed stdout ends the printing; main() discards the unwritten rest."""
+    try:
+        if args.format == "json":
+            emit_json(record)
+            return
+        if args.format == "csv":
+            rows = [[_csv_cells(v) for v in rec.values()] for rec in
+                    (record if isinstance(record, list) else [record])]
+            widths = [max(map(len, field)) for field in zip(*rows)]
+            lines = [",".join(c for cells, w in zip(row, widths)
+                              for c in cells + [""] * (w - len(cells)))
+                     for row in rows]
+        else:
+            lines = text(record)
+        for line in lines:
+            print(line)
+    except BrokenPipeError:
+        pass
 
 
 # --- commands -------------------------------------------------------------
@@ -361,8 +389,12 @@ def cmd_slope_word(args):
     q = parse_rational(args.slope, "slope")
     if q <= 0:
         raise SchemaError("slope: must be positive")
+    word = tubular.word_for_slope(q)
+    if sum(k for _, k in word.runs) > MAX_WORD_LETTERS:
+        raise SchemaError(f"slope: its word has more than {MAX_WORD_LETTERS}"
+                          " letters")
     m = tubular.phi_from_infinity(q)
-    return {"word": str(tubular.word_for_slope(q)),
+    return {"word": str(word),
             "matrix": [list(m[0]), list(m[1])]}, _slope_word_text
 
 
@@ -387,7 +419,7 @@ def cmd_ulrich(args):
 def _build_mf(args) -> tuple[mf.MatrixFactorization, Fraction | None]:
     from . import mf
     from .qlambda import Scalar
-    lam = parse_lambda(args.lam, "--lambda")
+    lam = parse_lambda("sym" if args.lam is None else args.lam, "--lambda")
     which = args.what[0]
     rest = args.what[1:]
 
@@ -446,6 +478,9 @@ def cmd_mf(args):
         return mf_to_json(m, lam), _mf_text
     if len(args.what) != 1:
         raise SchemaError(f"mf {args.action}: expected exactly one FILE")
+    if args.lam is not None:
+        raise SchemaError(f"mf {args.action}: --lambda applies to build "
+                          "only; the file states its lambda")
     m, lam = mf_from_json(_read_json(args.what[0]))
     cert = mf.verify_mf(m)
     if args.action == "verify":
@@ -478,25 +513,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[fmt])
-    p.add_argument("--m-max", type=int, default=0)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=0)
+    p.add_argument("--m-max", type=_integer, default=0)
+    p.add_argument("--n-min", type=_integer, default=0)
+    p.add_argument("--n-max", type=_integer, default=0)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("class-info", parents=[fmt])
     for name in ("a0", "a1", "a2", "a3", "a4", "n"):
-        p.add_argument(name, type=int)
+        p.add_argument(name, type=_integer)
     p.set_defaults(func=cmd_class_info)
 
     p = sub.add_parser("cohom", parents=[fmt])
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("r", type=_integer)
+    p.add_argument("d", type=_integer)
     p.set_defaults(func=cmd_cohom)
 
     p = sub.add_parser("betti-catalog", parents=[fmt])
-    p.add_argument("--a-max", type=int, default=3)
-    p.add_argument("--b-max", type=int, default=3)
-    p.add_argument("--r-max", type=int, default=4)
+    p.add_argument("--a-max", type=_integer, default=3)
+    p.add_argument("--b-max", type=_integer, default=3)
+    p.add_argument("--r-max", type=_integer, default=4)
     p.set_defaults(func=cmd_betti_catalog)
 
     p = sub.add_parser("classify-betti", parents=[fmt])
@@ -504,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify_betti)
 
     p = sub.add_parser("reduce-rd", parents=[fmt])
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("r", type=_integer)
+    p.add_argument("d", type=_integer)
     p.set_defaults(func=cmd_reduce_rd)
 
     p = sub.add_parser("slope-word", parents=[fmt])
@@ -515,13 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mf", parents=[fmt])
     p.add_argument("action", choices=("build", "verify", "reduce", "betti"))
     p.add_argument("what", nargs="+")
-    p.add_argument("--lambda", dest="lam", default="sym")
+    p.add_argument("--lambda", dest="lam")
     p.set_defaults(func=cmd_mf)
 
     p = sub.add_parser("ulrich", parents=[fmt])
-    p.add_argument("--a-max", type=int, default=20)
-    p.add_argument("--b-max", type=int, default=20)
-    p.add_argument("--r-max", type=int, default=40)
+    p.add_argument("--a-max", type=_integer, default=20)
+    p.add_argument("--b-max", type=_integer, default=20)
+    p.add_argument("--r-max", type=_integer, default=40)
     p.set_defaults(func=cmd_ulrich)
     return top
 
@@ -546,7 +581,13 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit drops what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

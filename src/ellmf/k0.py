@@ -190,46 +190,48 @@ def classify_root(cl: K0Class) -> RootInfo:
     return RootInfo(kind, r > 0 or (r == 0 and d > 0))
 
 
+def _finite_parts(r: int) -> list[tuple[int, int, int, int]]:
+    """The finite parts a with q(r; a) = 1, for a rank r >= 0.
+
+    q(r; a) = sum_i (a_i - r/2)^2.  For even r = 2h these are four integer
+    squares summing to 1: one a_i is h +- 1, the others are h.  For odd
+    r = 2h + 1 each is at least 1/4, so each is 1/4: every a_i is h or
+    h + 1.  Rows: for even r the h + 1 rows, then the h - 1 rows, each by
+    the position of that entry; for odd r in itertools.product order.
+    """
+    h = r // 2
+    if r % 2:
+        return list(product((h, h + 1), repeat=4))
+    return [tuple(h + eps if k == i else h for k in range(4))
+            for eps in (1, -1) for i in range(4)]
+
+
 def real_root_gamma_parts(m: int) -> list[tuple[int, tuple[int, int, int, int]]]:
     """The 24 parametrized finite parts of the positive real roots, at level m.
 
     Row order: a0 = 2m with one entry m+1; a0 = 2m+1 with zero, one, two,
-    three, four entries m+1; a0 = 2m+2 with one entry m.
-    """
-    rows: list[tuple[int, tuple[int, int, int, int]]] = []
-    for i in range(4):
-        rows.append((2 * m, tuple(m + 1 if k == i else m for k in range(4))))
-    rows.append((2 * m + 1, (m,) * 4))
-    for i in range(4):
-        rows.append((2 * m + 1, tuple(m + 1 if k == i else m for k in range(4))))
-    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)):
-        rows.append((2 * m + 1,
-                     tuple(m + 1 if k in (i, j) else m for k in range(4))))
-    for i in range(4):
-        rows.append((2 * m + 1, tuple(m if k == i else m + 1 for k in range(4))))
-    rows.append((2 * m + 1, (m + 1,) * 4))
-    for i in range(4):
-        rows.append((2 * m + 2, tuple(m if k == i else m + 1 for k in range(4))))
-    return rows
+    three, four entries m+1; a0 = 2m+2 with one entry m.  Within a block
+    the rows keep the order of _finite_parts (itertools.product order for
+    a0 = 2m+1)."""
+    blocks = ((2 * m, _finite_parts(2 * m)[:4]),
+              (2 * m + 1, sorted(_finite_parts(2 * m + 1), key=sum)),
+              (2 * m + 2, _finite_parts(2 * m + 2)[4:]))
+    return [(a0, a) for a0, parts in blocks for a in parts]
 
 
 def enumerate_real_roots(m_max: int, n_min: int, n_max: int) -> list[K0Class]:
-    """All classes +-alpha + n*delta from the 24-row parametrization,
-    deduplicated and sorted lexicographically on coordinates."""
+    """All classes +-alpha + n*delta from the 24-row parametrization, sorted
+    lexicographically on coordinates.  None comes up twice: the rows of a
+    level are distinct, levels m and m + 1 share only a0 = 2m + 2, where
+    their entries differ (m against m + 2), and a sign flip changes a0, or
+    a when a0 = 0."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    seen = set()
-    out = []
-    for m in range(m_max + 1):
-        for a0, a in real_root_gamma_parts(m):
-            for sign in (1, -1):
-                for n in range(n_min, n_max + 1):
-                    cl = K0Class(sign * a0, tuple(sign * x for x in a), n)
-                    if cl.coords not in seen:
-                        seen.add(cl.coords)
-                        out.append(cl)
-    out.sort(key=lambda c: c.coords)
-    return out
+    return sorted((K0Class(sign * a0, tuple(sign * x for x in a), n)
+                   for m in range(m_max + 1)
+                   for a0, a in real_root_gamma_parts(m)
+                   for sign in (1, -1)
+                   for n in range(n_min, n_max + 1)), key=lambda c: c.coords)
 
 
 def real_roots_bruteforce_box(a0_bound: int, a_bound: int, n_bound: int) -> list[K0Class]:
@@ -253,24 +255,10 @@ def real_roots_bruteforce_box(a0_bound: int, a_bound: int, n_bound: int) -> list
 
 def real_root_classes_with_rd(r: int, d: int) -> list[K0Class]:
     """All real-root classes of a given rank r >= 0 and degree d, in closed
-    form: the q = 1 constraint pins the finite part up to finitely many
-    choices, and the degree pins the delta coefficient."""
+    form: the q = 1 constraint pins the finite part to _finite_parts(r),
+    and the degree d = sum a + 2n keeps the parts whose sum has the parity
+    of d and pins the delta coefficient."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    out = []
-    if r % 2 == 0:
-        half = r // 2
-        for i in range(4):
-            for eps in (1, -1):
-                a = tuple(half + eps if k == i else half for k in range(4))
-                s = sum(a)
-                if (d - s) % 2 == 0:
-                    out.append(K0Class(r, a, (d - s) // 2))
-    else:
-        lo, hi = (r - 1) // 2, (r + 1) // 2
-        for picks in product((lo, hi), repeat=4):
-            s = sum(picks)
-            if (d - s) % 2 == 0:
-                out.append(K0Class(r, picks, (d - s) // 2))
-    out.sort(key=lambda c: c.coords)
-    return out
+    return sorted((K0Class(r, a, (d - sum(a)) // 2) for a in _finite_parts(r)
+                   if (d - sum(a)) % 2 == 0), key=lambda c: c.coords)

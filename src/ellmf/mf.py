@@ -235,9 +235,8 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
     """The certificate of m: both product identities, twist bookkeeping
     and homogeneity, every defect collected instead of raised.  It is
     computed once per object (MatrixFactorization.certificate), and B*A
-    only when A*B has a defect or A is not square, since over the integral
-    domain Q(lambda)[X, Y] A*B = f*I with f != 0 gives
-    det A * det B = f^n != 0, hence B = f*A^-1 and B*A = f*I."""
+    only when A*B has a defect or A is not square (see the module
+    docstring)."""
     return m.certificate
 
 

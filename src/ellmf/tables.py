@@ -87,9 +87,7 @@ class BettiTable(Record):
         return not self.entries
 
     def is_balanced(self) -> bool:
-        s0 = sum(v for (i, _), v in self.entries if i == 0)
-        s1 = sum(v for (i, _), v in self.entries if i == 1)
-        return s0 == s1
+        return sum(v if i == 0 else -v for (i, _), v in self.entries) == 0
 
     def support(self) -> list[int]:
         return sorted({j for (_, j), _ in self.entries})
@@ -310,19 +308,22 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
     return matches[0]
 
 
-def _alternating_column_sums(t: BettiTable) -> list[int]:
-    s = [0, 0, 0, 0]
+def _signed_sums(t: BettiTable) -> dict[int, int]:
+    """j -> b_{0,j} - b_{1,j}, refused unless the values total 0."""
+    n: dict[int, int] = {}
     for (i, j), v in t.entries:
-        s[j % 4] += v if i == 0 else -v
-    return s
+        n[j] = n.get(j, 0) + (v if i == 0 else -v)
+    if sum(n.values()):
+        raise TableError("column sums differ")
+    return n
 
 
 def rd_from_betti(t: BettiTable) -> tuple[int, int]:
-    """Rank and degree from the alternating Betti sums, unfolded over one
+    """Rank and degree from the signed Betti sums, folded mod 4 over one
     period of the complete resolution."""
-    if not t.is_balanced():
-        raise TableError("column sums differ")
-    s = _alternating_column_sums(t)
+    s = [0, 0, 0, 0]
+    for j, v in _signed_sums(t).items():
+        s[j % 4] += v
     d = s[0] - s[2]
     twice_r = (s[1] + s[2]) - (s[0] + s[3])
     if twice_r % 2 != 0:
@@ -364,19 +365,12 @@ def indec_count(c: BettiClass) -> IndecCount:
 def hilbert(t: BettiTable):
     """(numerator Laurent polynomial, multiplicity, generator count, Ulrich?).
 
-    The Hilbert series is numerator/(1 - t); the numerator is the
-    alternating generator polynomial divided by one factor of (1 - t).
+    The Hilbert series is numerator/(1 - t): the signed generator
+    polynomial, whose coefficients total 0, divided by its factor (1 - t).
     """
-    if not t.is_balanced():
-        raise TableError("column sums differ")
-    n: dict[int, int] = {}
-    for (i, j), v in t.entries:
-        n[j] = n.get(j, 0) + (v if i == 0 else -v)
-    n = {j: v for j, v in n.items() if v}
+    n = {j: v for j, v in _signed_sums(t).items() if v}
     if not n:
         raise TableError("not an MCM table: zero numerator")
-    if sum(n.values()) != 0:
-        raise TableError("not an MCM table: (1 - t) does not divide")
     p: dict[int, int] = {}
     acc = 0
     for j in range(min(n), max(n) + 1):
@@ -392,20 +386,15 @@ def hilbert(t: BettiTable):
 
 def catalog(a_max: int, b_max: int, r_max: int):
     """Deterministic sweep of all catalog classes within parameter bounds."""
+    candidates = [(kind, (a, b)) for kind in GENERAL_TYPES
+                  for a in range(a_max + 1) for b in range(b_max + 1)]
+    candidates += [(kind, (r,)) for kind in FIRST_KIND_TYPES
+                   for r in range(1, r_max + 1)]
     out = []
-    for kind in GENERAL_TYPES:
-        for a in range(a_max + 1):
-            for b in range(b_max + 1):
-                try:
-                    table = template_table(kind, (a, b))
-                except TableError:
-                    continue
-                out.append((BettiClass(kind, (a, b)), table))
-    for kind in FIRST_KIND_TYPES:
-        for r in range(1, r_max + 1):
-            try:
-                table = template_table(kind, (r,))
-            except TableError:
-                continue
-            out.append((BettiClass(kind, (r,)), table))
+    for kind, params in candidates:
+        try:
+            out.append((BettiClass(kind, params),
+                        template_table(kind, params)))
+        except TableError:
+            pass
     return out

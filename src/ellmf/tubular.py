@@ -46,12 +46,14 @@ class MutationWord(Record):
         return Fraction(d, r)
 
 
-def _slope_runs(q: Fraction):
-    """Runs (letter, k) of the word sending slope 1 to q > 0, outermost
-    first, by the reverse Euclidean walk on q = a/b: while a > b strip the
-    k = (a - 1) // b outer S-steps that keep q >= 1, while a < b the
-    k = (b - 1) // a outer R-steps, until q = 1.  The k are the partial
-    quotients of q, the last one less one."""
+def word_for_slope(q) -> MutationWord:
+    """The unique word sending slope 1 to q > 0, by the reverse Euclidean
+    walk on q = a/b: while a > b strip the k = (a - 1) // b outer S-steps
+    that keep q >= 1, while a < b the k = (b - 1) // a outer R-steps, until
+    q = 1.  The k are the partial quotients of q, the last one less one."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("slope must be positive")
     a, b = q.numerator, q.denominator
     runs = []
     while a != b:
@@ -63,16 +65,7 @@ def _slope_runs(q: Fraction):
             k = (b - 1) // a
             runs.append(("R", k))
             b -= k * a
-    return runs
-
-
-def word_for_slope(q) -> MutationWord:
-    """The unique word sending slope 1 to q > 0: strip an outer S while
-    q > 1 and an outer R while q < 1."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("slope must be positive")
-    return MutationWord(tuple(_slope_runs(q)))
+    return MutationWord(tuple(runs))
 
 
 def phi_from_infinity(q):

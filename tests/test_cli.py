@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from ellmf.cli import mf_to_json, run
 from ellmf.mf import mf_kst
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -313,3 +316,69 @@ def test_bad_input_exit_2(capsys, tmp_path):
     assert run(["mf", "verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3 and "A.rows" in err
+
+
+def test_lambda_refused_on_file_actions(capsys, tmp_path):
+    path = tmp_path / "kst.json"
+    path.write_text(json.dumps(mf_to_json(mf_kst(), None)))
+    for action in ("verify", "reduce", "betti"):
+        assert run(["mf", action, str(path), "--lambda", "foo"]) == 2
+        assert "--lambda" in capsys.readouterr().err
+    assert run(["mf", "verify", str(path)]) == 0
+    capsys.readouterr()
+
+
+# --- the exit-code contract of a real process ------------------------------
+
+def ellmf_process(argv, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "ellmf.cli", *argv],
+                          env=env, stderr=subprocess.PIPE, text=True,
+                          timeout=60, **kwargs)
+
+
+def test_closed_stdout_keeps_exit_code(tmp_path):
+    doc = mf_to_json(mf_kst(), None)
+    (tmp_path / "kst.json").write_text(json.dumps(doc))
+    doc["A"]["rows"][0][0][0]["c"] = ["2"]
+    (tmp_path / "broken.json").write_text(json.dumps(doc))
+    cases = [
+        (["ulrich"], 0, ""),
+        (["roots", "--m-max", "6", "--n-min", "-5", "--n-max", "5"], 0, ""),
+        (["mf", "verify", str(tmp_path / "kst.json")], 0, ""),
+        (["mf", "verify", str(tmp_path / "broken.json")], 1,
+         "error: verification failed\n"),
+    ]
+    for argv, code, err in cases:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = ellmf_process(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, err), argv
+
+
+def test_oversized_input_exit_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    big = tmp_path / "big.json"
+    big.write_text('{"entries": [{"i": 0, "j": 0, "beta": %s}]}'
+                   % ("7" * 5000))
+    digits = "3" * 3000
+    cases = [
+        (["classify-betti", str(deep)], {2}),
+        # Python 3.10 may lack the int-to-str limit and parse the integer.
+        (["classify-betti", str(big)],
+         {2} if sys.version_info >= (3, 11) else {1, 2}),
+        (["slope-word", "1/" + "7" * 5000], {2}),
+        (["class-info", digits, "0", "0", "0", "0", "0"], {2}),
+        (["slope-word", "1/" + "1" + "0" * 22], {2}),
+        (["class-info", "9" * 1000, "0", "0", "0", "0", "0"], {0}),
+    ]
+    for argv, codes in cases:
+        proc = ellmf_process(argv, stdout=subprocess.DEVNULL)
+        assert proc.returncode in codes, (argv[0], proc.stderr[-200:])
+        assert "Traceback" not in proc.stderr, argv[0]

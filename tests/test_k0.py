@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -179,3 +180,32 @@ def test_bad_inputs():
         K0Class(1, (0, 0, 0), 0)
     with pytest.raises(ValueError):
         real_root_classes_with_rd(-1, 0)
+
+
+def test_real_root_classes_equal_bruteforce():
+    box = real_roots_bruteforce_box(6, 4, 14)
+    for r in range(7):
+        for d in range(-12, 13):
+            want = [c for c in box if rank(c) == r and degree(c) == d]
+            assert real_root_classes_with_rd(r, d) == want, (r, d)
+
+
+def test_gamma_parts_blocks():
+    for m in range(4):
+        rows = real_root_gamma_parts(m)
+        assert [a0 for a0, _ in rows] == [2 * m] * 4 + [2 * m + 1] * 16 + [
+            2 * m + 2] * 4
+        assert all(sorted(a) == [m, m, m, m + 1] for _, a in rows[:4])
+        assert all(sorted(a) == [m, m + 1, m + 1, m + 1]
+                   for _, a in rows[20:])
+        highs = [a.count(m + 1) for _, a in rows[4:20]]
+        assert highs == sorted(highs)
+        assert {a for _, a in rows[4:20]} == set(
+            product((m, m + 1), repeat=4))
+
+
+def test_enumeration_has_no_duplicates():
+    for args in ((0, 0, 0), (2, -3, 3), (4, -1, 2), (3, 5, 5)):
+        coords = [c.coords for c in enumerate_real_roots(*args)]
+        assert len(coords) == len(set(coords)), args
+        assert len(coords) == 48 * (args[0] + 1) * (args[2] - args[1] + 1)

@@ -421,6 +421,14 @@ def test_hilbert_examples():
         assert (e, mu, ulrich) == (2 * r + 2, r + 1, False)
 
 
+def test_unbalanced_table_rejected():
+    t = B({(0, 0): 2, (0, 1): 1, (1, 2): 1, (1, 3): 1})
+    assert not t.is_balanced()
+    for f in (rd_from_betti, hilbert, normalize_and_classify):
+        with pytest.raises(TableError, match="^column sums differ$"):
+            f(t)
+
+
 def test_hilbert_rejects_non_mcm():
     # Balanced but with nonpositive multiplicity.
     with pytest.raises(TableError):
