@@ -27,6 +27,9 @@ RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 MAX_INT_DIGITS = 1000
 # The longest word slope-word prints.
 MAX_WORD_LETTERS = 10 ** 6
+# The most records roots, betti-catalog and ulrich build; their bounds are
+# checked against the closed-form count before anything is built.
+MAX_RECORDS = 10 ** 6
 
 
 class SchemaError(ValueError):
@@ -278,6 +281,18 @@ def render(args, record, text) -> None:
 # Each returns (record, text): the JSON record, or list of records, and the
 # function laying it out as lines of text.
 
+def _check_records(count: int, bounds: str) -> None:
+    if count > MAX_RECORDS:
+        raise SchemaError(f"{bounds}: more than {MAX_RECORDS} records")
+
+
+def _catalog(args):
+    from . import tables
+    _check_records(tables.catalog_size(args.a_max, args.b_max, args.r_max),
+                   "--a-max/--b-max/--r-max")
+    return tables.catalog(args.a_max, args.b_max, args.r_max)
+
+
 def _class_str(c) -> str:
     return f"({c['a0']}; {' '.join(map(str, c['a']))}; {c['n']})"
 
@@ -285,6 +300,8 @@ def _class_str(c) -> str:
 def cmd_roots(args):
     from . import k0
     try:
+        _check_records(k0.real_root_count(args.m_max, args.n_min, args.n_max),
+                       "--m-max/--n-min/--n-max")
         roots = k0.enumerate_real_roots(args.m_max, args.n_min, args.n_max)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
@@ -339,9 +356,8 @@ def _cohom_text(recs):
 
 
 def cmd_betti_catalog(args):
-    from . import tables
     recs = [{"kind": c.kind, "params": list(c.params), **betti_to_json(t)}
-            for c, t in tables.catalog(args.a_max, args.b_max, args.r_max)]
+            for c, t in _catalog(args)]
     return recs, lambda recs: [
         f"{c['kind']}{tuple(c['params'])}: "
         + " ".join(f"b[{e['i']},{e['j']}]={e['beta']}" for e in c["entries"])
@@ -407,7 +423,7 @@ def _slope_word_text(c):
 def cmd_ulrich(args):
     from . import tables
     recs = []
-    for c, t in tables.catalog(args.a_max, args.b_max, args.r_max):
+    for c, t in _catalog(args):
         _, e, mu, is_ulrich = tables.hilbert(t)
         recs.append({"kind": c.kind, "params": list(c.params), "e": e,
                      "mu": mu, "ulrich": is_ulrich})
@@ -485,7 +501,8 @@ def cmd_mf(args):
     cert = mf.verify_mf(m)
     if args.action == "verify":
         report = {"ok": cert.ok,
-                  "failures": [{"where": w, "i": i, "j": j, "defect": str(dd)}
+                  "failures": [{"where": w, "i": i, "j": j,
+                                "defect": mf.defect_text(dd)}
                                for w, i, j, dd in cert.failures]}
         if not cert.ok:
             raise CheckFailed("verification failed", (report, _verify_text))

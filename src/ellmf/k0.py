@@ -234,6 +234,14 @@ def enumerate_real_roots(m_max: int, n_min: int, n_max: int) -> list[K0Class]:
                    for n in range(n_min, n_max + 1)), key=lambda c: c.coords)
 
 
+def real_root_count(m_max: int, n_min: int, n_max: int) -> int:
+    """len(enumerate_real_roots(m_max, n_min, n_max)), without building
+    it: 24 rows per level, two signs and one class per n."""
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    return 48 * (m_max + 1) * max(n_max - n_min + 1, 0)
+
+
 def real_roots_bruteforce_box(a0_bound: int, a_bound: int, n_bound: int) -> list[K0Class]:
     """Exhaustive scan of the coordinate box |a0| <= a0_bound,
     |a_k| <= a_bound, |n| <= n_bound for classes with q = 1.

@@ -14,6 +14,7 @@ the same object twice composes once.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -195,9 +196,20 @@ class MatrixFactorization(Record):
         return Certificate(not fails, tuple(fails))
 
 
+def defect_text(defect) -> str:
+    """A defect as `mf verify` prints it, in text and in json.  A defect
+    with an integer past Python's int-to-str digit limit prints as a
+    placeholder naming the limit."""
+    try:
+        return str(defect)
+    except ValueError:
+        return ("<defect not printed: a coefficient has more than "
+                f"{sys.get_int_max_str_digits()} digits>")
+
+
 def failure_text(label: str, i: int, j: int, defect) -> str:
     """One failure as `mf verify` prints it: `A*B (0,0): <defect>`."""
-    return f"{label} ({i},{j}): {defect}"
+    return f"{label} ({i},{j}): {defect_text(defect)}"
 
 
 def _product_defects(label, prod: GradedMatrix, f: BivariatePoly,

@@ -89,8 +89,10 @@ class BivariatePoly(Record):
         return len(self.terms) == 1 and self.terms[0][0] == (0, 0)
 
     def specialize(self, value) -> "BivariatePoly":
-        return BivariatePoly(tuple((k, c.specialize(value))
-                                   for k, c in self.terms))
+        """The monomials stay sorted and distinct; only the coefficients
+        that vanish at value drop out."""
+        terms = ((k, c.specialize(value)) for k, c in self.terms)
+        return BivariatePoly._trusted(tuple((k, c) for k, c in terms if c))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -7,11 +7,15 @@ coefficients of N and D together have gcd 1.  Zero is () / (1,).
 
 Arithmetic runs on Python ints, fraction-free in the style of Bareiss.
 Every sum and product, `+`, `-` and `*` included, is one sum of products,
-`dot`: the products accumulate into one integer coefficient list over one
-common denominator, which is canonicalised once at the end.  The
-polynomial gcd (a primitive pseudo-remainder sequence) runs only when that
-denominator depends on the parameter.  The public num/den, as Fraction
-tuples with a monic den, are derived from N/D on demand.
+`dot`: the products accumulate over one common denominator, which is
+canonicalised once at the end.  Rational constants, the only scalars at a
+numeric parameter, take a lane of their own: their products accumulate
+into one integer pair num/den, made canonical by one integer gcd, and
+specialize evaluates N and D in integers alone.  The first product that
+depends on the parameter hands that pair over to an integer coefficient
+list, and the polynomial gcd (a primitive pseudo-remainder sequence) runs
+only when the denominator depends on the parameter.  The public num/den,
+as Fraction tuples with a monic den, are derived from N/D on demand.
 
 This is the coefficient field for all matrix work, so identities proved
 here hold for every admissible parameter value at once.
@@ -19,12 +23,14 @@ here hold for every admissible parameter value at once.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 Poly = tuple[Fraction, ...]        # coefficient of lambda^k at index k
 ZPoly = tuple[int, ...]            # the same over the integers, trimmed
 
 P_ONE: Poly = (Fraction(1),)
+_UNITS = ((1,), (-1,))       # the numerators of the constants 1 and -1
 
 
 def p_trim(c) -> Poly:
@@ -102,6 +108,15 @@ def _z_exact_div(a: ZPoly, g: ZPoly) -> ZPoly:
     return tuple(q)
 
 
+def _z_homogeneous_at(a: ZPoly, p: int, q: int) -> int:
+    """q^(len(a) - 1) * a(p/q), by Horner in p carrying the powers of q."""
+    v, qk = 0, 1
+    for c in reversed(a):
+        v = v * p + c * qk
+        qk *= q
+    return v
+
+
 # --- canonical forms --------------------------------------------------------
 
 def _make(n: ZPoly, d: ZPoly) -> "Scalar":
@@ -132,17 +147,59 @@ def _canon(n: ZPoly, d: ZPoly) -> "Scalar":
 def dot(pairs) -> "Scalar":
     """The sum of a*b over the (a, b) pairs, canonicalised once.
 
-    The products accumulate into one integer coefficient list over the
-    common denominator den*lam, with den a positive integer and lam an
-    integer polynomial, both 1 at the start.  A product with an integer
-    constant denominator q grows den to lcm(den, q), and the list is
-    rescaled by lcm/den; one with a parameter-dependent denominator q other
-    than lam is multiplied into lam, and the list is rescaled by q.  Each
-    product enters times its cofactor over den*lam.
+    Constant lane: while every product has rational constant factors, the
+    sum is one integer pair num/den, den growing to lcm(den, q) for a
+    product with denominator q.  If no product depends on the parameter,
+    one integer gcd makes num/den canonical.
+
+    At the first product that does, the pair hands over to a coefficient
+    list acc = [num] over the common denominator den*lam, with lam an
+    integer polynomial, 1 at the start, and the pass goes on from that
+    product without a restart.  A product with an integer constant
+    denominator q grows den to lcm(den, q), and the list is rescaled by
+    lcm/den; one with a parameter-dependent denominator q other than lam
+    is multiplied into lam, and the list is rescaled by q.  Each product
+    enters times its cofactor over den*lam.  A lone product against a
+    constant +-1, as in x + 0, is its other factor, already canonical, and
+    is returned without the gcd.
+
+    Both lanes add the same products over the same common denominator, and
+    the canonical form of a value is unique, so the lane taken never shows
+    in the result.
     """
-    acc: list[int] = []
-    den, lam = 1, (1,)
-    for a, b in pairs:
+    it = iter(pairs)
+    num, den = 0, 1
+    for a, b in it:
+        n1, d1, n2, d2 = a._n, a._d, b._n, b._d
+        if not n1 or not n2:
+            continue
+        if len(n1) > 1 or len(n2) > 1 or len(d1) > 1 or len(d2) > 1:
+            break
+        q = d1[0] * d2[0]
+        if q == den:
+            num += n1[0] * n2[0]
+        else:
+            g = gcd(den, q)
+            num = num * (q // g) + n1[0] * n2[0] * (den // g)
+            den = den // g * q
+    else:
+        if not num:
+            return ZERO
+        g = gcd(num, den)
+        return _make((num // g,), (den // g,))
+    if not num:
+        for c, e in it:
+            if c._n and e._n:
+                it = chain(((c, e),), it)
+                break
+        else:
+            if d2 == (1,) and n2 in _UNITS:
+                return a if n2[0] == 1 else -a
+            if d1 == (1,) and n1 in _UNITS:
+                return b if n1[0] == 1 else -b
+    acc = [num] if num else []
+    lam = (1,)
+    for a, b in chain(((a, b),), it):
         n1, d1, n2, d2 = a._n, a._d, b._n, b._d
         if not n1 or not n2:
             continue
@@ -276,15 +333,26 @@ class Scalar:
         return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
     def specialize(self, value: Fraction) -> "Scalar":
-        value = Fraction(value)
+        if value.__class__ is not Fraction:
+            value = Fraction(value)
         n, d = self._n, self._d
+        if len(n) <= 1 and len(d) == 1:
+            return self
         # Both sides times q^m, with value = p/q and m the larger degree.
-        p, q, m = value.numerator, value.denominator, max(len(n), len(d)) - 1
-        weights = [p ** k * q ** (m - k) for k in range(m + 1)]
-        dv = sum(v * w for v, w in zip(d, weights))
+        p, q = value.numerator, value.denominator
+        nv, dv = _z_homogeneous_at(n, p, q), _z_homogeneous_at(d, p, q)
+        if len(n) < len(d):
+            nv *= q ** (len(d) - len(n))
+        else:
+            dv *= q ** (len(n) - len(d))
         if not dv:
             raise ZeroDivisionError(f"denominator vanishes at {value}")
-        return Scalar.of(Fraction(sum(v * w for v, w in zip(n, weights)), dv))
+        if not nv:
+            return ZERO
+        g = gcd(nv, dv)
+        if dv < 0:
+            g = -g
+        return _make((nv // g,), (dv // g,))
 
     def lambda_coeffs(self) -> Poly:
         """Numerator coefficients; requires a polynomial (denominator 1)."""

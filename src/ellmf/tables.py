@@ -398,3 +398,13 @@ def catalog(a_max: int, b_max: int, r_max: int):
         except TableError:
             pass
     return out
+
+
+def catalog_size(a_max: int, b_max: int, r_max: int) -> int:
+    """len(catalog(a_max, b_max, r_max)), without building it: each
+    general kind takes the (a, b) grid, type I less its b = 0 column and
+    types IV and V only its cells with b - a odd; each rank 1..r_max has
+    two first-kind shapes of its parity."""
+    na, nb = max(a_max + 1, 0), max(b_max + 1, 0)
+    odd = (na + 1) // 2 * (nb // 2) + na // 2 * ((nb + 1) // 2)
+    return na * max(nb - 1, 0) + 2 * na * nb + 2 * odd + 2 * max(r_max, 0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ellmf import cli
 from ellmf.cli import mf_to_json, run
 from ellmf.mf import mf_kst
 
@@ -382,3 +383,56 @@ def test_oversized_input_exit_2(tmp_path):
         proc = ellmf_process(argv, stdout=subprocess.DEVNULL)
         assert proc.returncode in codes, (argv[0], proc.stderr[-200:])
         assert "Traceback" not in proc.stderr, argv[0]
+
+
+def test_huge_defect_prints_without_traceback(tmp_path):
+    """A*B entries with coefficients past the int-to-str digit limit: the
+    defect prints as a placeholder, exit 1 as for any failed check."""
+    doc = mf_to_json(mf_kst(), None)
+    big = str(10 ** 2999 + 7)
+    for term in doc["A"]["rows"][0][0] + doc["B"]["rows"][0][1]:
+        term["c"] = [big]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    limited = hasattr(sys, "get_int_max_str_digits")
+    for fmt in ("text", "json"):
+        proc = ellmf_process(["mf", "verify", str(path), "--format", fmt],
+                             stdout=subprocess.PIPE)
+        assert proc.returncode == 1, proc.stderr[-300:]
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith("error: verification failed\n")
+        assert ("digits>" in proc.stdout) == limited
+        if fmt == "json":
+            report = json.loads(proc.stdout)
+            assert not report["ok"] and report["failures"]
+    for action in ("reduce", "betti"):
+        proc = ellmf_process(["mf", action, str(path)],
+                             stdout=subprocess.DEVNULL)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--m-max", "1000000"],
+    ["roots", "--n-min", "-600000", "--n-max", "600000"],
+    ["betti-catalog", "--a-max", "1000000"],
+    ["betti-catalog", "--r-max", "1000000"],
+    ["ulrich", "--a-max", "1000", "--b-max", "1000"],
+    ["ulrich", "--r-max", "1" + "0" * 999],
+])
+def test_oversized_enumeration_refused(capsys, argv):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert f"more than {cli.MAX_RECORDS} records" in err
+
+
+def test_record_limit_is_inclusive(capsys, monkeypatch):
+    """roots --m-max 0 is 48 classes and betti-catalog 0 0 1 is 4 tables."""
+    for limit, code in ((48, 0), (47, 2)):
+        monkeypatch.setattr(cli, "MAX_RECORDS", limit)
+        assert invoke(capsys, "roots", "--format", "json")[0] == code
+    for limit, code in ((4, 0), (3, 2)):
+        monkeypatch.setattr(cli, "MAX_RECORDS", limit)
+        for command in ("betti-catalog", "ulrich"):
+            assert invoke(capsys, command, "--a-max", "0", "--b-max", "0",
+                          "--r-max", "1")[0] == code

@@ -8,8 +8,8 @@ from ellmf.k0 import (
     DELTA, OMEGA, STRUCTURE_SHEAF, K0Class, RootKind, chi, classify_root,
     degree, enumerate_real_roots, euler_pairing, real_root_gamma_parts,
     invariants, line_bundle_class, LVector, q_form, rank,
-    real_root_classes_with_rd, real_roots_bruteforce_box, simple_class,
-    slope, tensor_omega, twist_by_c,
+    real_root_classes_with_rd, real_root_count, real_roots_bruteforce_box,
+    simple_class, slope, tensor_omega, twist_by_c,
 )
 
 
@@ -209,3 +209,11 @@ def test_enumeration_has_no_duplicates():
         coords = [c.coords for c in enumerate_real_roots(*args)]
         assert len(coords) == len(set(coords)), args
         assert len(coords) == 48 * (args[0] + 1) * (args[2] - args[1] + 1)
+
+
+def test_real_root_count_is_enumeration_length():
+    for m_max, n_min, n_max in product(range(3), range(-2, 2), range(-2, 2)):
+        assert real_root_count(m_max, n_min, n_max) == len(
+            enumerate_real_roots(m_max, n_min, n_max))
+    with pytest.raises(ValueError, match="nonnegative"):
+        real_root_count(-1, 0, 0)

@@ -1,11 +1,15 @@
 """Property tests of qlambda.Scalar against an independent sympy oracle.
 
 Scalars are drawn as num/den coefficient lists with small rational entries
-and parameter degree at most 3.  Every result is compared in canonical
-form: sympy.cancel's num/den, rescaled to a monic den, against Scalar's
-num/den.  hypothesis and sympy are test-only; the tests skip without them.
+and parameter degree at most 3 (4 for specialize).  Every result is
+compared in canonical form: sympy.cancel's num/den, rescaled to a monic
+den, against Scalar's num/den.  dot is also checked against a test-local
+copy of its single-path form, which has no lane for rational constants.
+hypothesis and sympy are test-only; the tests skip without them.
 """
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,7 +19,8 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings                  # noqa: E402
 from hypothesis import strategies as st                 # noqa: E402
 
-from ellmf.qlambda import ZERO, Scalar, dot               # noqa: E402
+from ellmf.poly import BivariatePoly                      # noqa: E402
+from ellmf.qlambda import ZERO, Scalar, _canon, _z_mul, dot  # noqa: E402
 
 L = sympy.Symbol("L")
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
@@ -193,3 +198,163 @@ def test_dot_shared_lambda_denominator(terms, den):
     got = dot([(Scalar(*a), Scalar(*b)) for a, b in raw])
     want = sum((raw_expr(a) * raw_expr(b) for a, b in raw), sympy.Integer(0))
     assert form(got) == canonical(want)
+
+
+# --- the rational lane of dot and the integer-only specialize ---------------
+
+def single_path_dot(pairs):
+    """dot as it was before its constant lane: every product goes through
+    one integer coefficient list, canonicalised by _canon at the end."""
+    acc: list[int] = []
+    den, lam = 1, (1,)
+    for a, b in pairs:
+        n1, d1, n2, d2 = a._n, a._d, b._n, b._d
+        if not n1 or not n2:
+            continue
+        if len(d1) == 1 and len(d2) == 1:
+            q = d1[0] * d2[0]
+            m = 1
+            if q != den:
+                g = gcd(den, q)
+                if g != q:
+                    acc = [v * (q // g) for v in acc]
+                m = den // g
+                den = den // g * q
+            if len(lam) > 1:
+                n1 = _z_mul(n1, lam)
+        else:
+            q = _z_mul(d1, d2)
+            if q != lam:
+                if acc:
+                    acc = list(_z_mul(acc, q))
+                n1 = _z_mul(n1, lam)
+                lam = _z_mul(lam, q)
+            m = den
+        top = len(n1) + len(n2) - 1
+        if len(acc) < top:
+            acc += [0] * (top - len(acc))
+        for i, x in enumerate(n1):
+            if x:
+                x *= m
+                for j, y in enumerate(n2, i):
+                    acc[j] += x * y
+    while acc and not acc[-1]:
+        acc.pop()
+    return _canon(tuple(acc), tuple(den * v for v in lam))
+
+
+F1 = Fraction(1)
+rational_constants = st.one_of(
+    st.builds(lambda v: ([v], [F1]), small),
+    st.sampled_from((([], [F1]), ([F1], [F1]), ([-F1], [F1]))))
+constant_pairs = st.lists(st.tuples(rational_constants, rational_constants),
+                          max_size=4)
+other_pairs = st.lists(st.tuples(mixed_scalars(),
+                                 st.one_of(mixed_scalars(),
+                                           rational_constants)),
+                       min_size=1, max_size=3)
+
+
+@st.composite
+def lane_pair_lists(draw):
+    """Runs of constant pairs before, between and after runs of pairs that
+    may depend on the parameter; with no such run, all constant."""
+    raw = draw(constant_pairs)
+    for _ in range(draw(st.integers(0, 2))):
+        raw += draw(other_pairs) + draw(constant_pairs)
+    return raw
+
+
+@SETTINGS
+@given(lane_pair_lists())
+def test_dot_lanes_match_single_path_and_oracle(raw):
+    pairs = [(Scalar(*a), Scalar(*b)) for a, b in raw]
+    got = dot(pairs)
+    want = single_path_dot(pairs)
+    assert (got._n, got._d) == (want._n, want._d)
+    assert dot(iter(pairs)) == got and dot(p for p in pairs) == got
+    oracle = sum((raw_expr(a) * raw_expr(b) for a, b in raw),
+                 sympy.Integer(0))
+    assert form(got) == canonical(oracle)
+
+
+@SETTINGS
+@given(raw_scalars(), st.lists(st.tuples(rational_constants,
+                                         rational_constants), max_size=3),
+       st.sampled_from((1, -1)), st.booleans())
+def test_dot_lone_product_against_unit(a, zero_pads, sign, unit_first):
+    """x*(+-1) among products that vanish is +-x, whatever object carries
+    the unit."""
+    x = Scalar(*a)
+    unit = Scalar([Fraction(sign)])
+    pads = [(Scalar(*c) * 0, Scalar(*e)) for c, e in zero_pads]
+    pairs = [(unit, x) if unit_first else (x, unit)] + pads
+    assert dot(pairs) == (x if sign == 1 else -x)
+    assert dot(pads[::-1] + pairs[:1]) == dot(pairs)
+    assert x + ZERO == x and ZERO - x == -x and x * Scalar.of(1) == x
+
+
+wide_coeffs = st.lists(small, min_size=0, max_size=5)      # degree <= 4
+
+
+@SETTINGS
+@given(wide_coeffs, wide_coeffs.filter(any), small)
+def test_specialize_is_fraction_evaluation(num, den, value):
+    """N(v)/D(v) of the canonical N/D, evaluated over Fraction; the
+    vanishing-denominator error keeps its message."""
+    x = Scalar(num, den)
+
+    def at(c):
+        return sum((v * value ** k for k, v in enumerate(c)), Fraction(0))
+
+    dv = at(x.den)
+    if not dv:
+        with pytest.raises(ZeroDivisionError,
+                           match=f"^denominator vanishes at {value}$"):
+            x.specialize(value)
+        return
+    got = x.specialize(value)
+    assert got.is_rational() and got.as_fraction() == at(x.num) / dv
+    assert got == Scalar.of(at(x.num) / dv)
+    if value.denominator == 1:
+        assert x.specialize(int(value)) == got
+
+
+@pytest.mark.parametrize("value", [None, "one", object(), [1], 1j])
+@pytest.mark.parametrize("s", [ZERO, Scalar.of(Fraction(2, 3)),
+                               Scalar([1, 2], [3, 1])])
+def test_specialize_non_numeric_raises_as_fraction_does(s, value):
+    with pytest.raises(Exception) as want:
+        Fraction(value)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        s.specialize(value)
+
+
+def test_specialize_int_and_string_as_fraction():
+    s = Scalar([1, 2, 0, 1], [3, 0, 1])
+    assert s.specialize(3) == s.specialize(Fraction(3))
+    assert s.specialize("2/5") == s.specialize(Fraction(2, 5))
+    c = Scalar.of(Fraction(-4, 9))
+    assert c.specialize(7) == c.specialize("1/2") == c
+
+
+@st.composite
+def bivariate_polys(draw):
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         max_size=5, unique=True))
+    return BivariatePoly(tuple((k, Scalar(*draw(raw_scalars())))
+                               for k in keys))
+
+
+@SETTINGS
+@given(bivariate_polys(), small)
+def test_poly_specialize_matches_constructor(p, value):
+    try:
+        want = BivariatePoly(tuple((k, c.specialize(value))
+                                   for k, c in p.terms))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.specialize(value)
+        return
+    got = p.specialize(value)
+    assert got == want and got.terms == want.terms

@@ -436,3 +436,11 @@ def test_hilbert_rejects_non_mcm():
     with pytest.raises(TableError):
         hilbert(B({(0, 0): 1, (1, 1): 2}))
 
+
+
+def test_catalog_size_is_catalog_length():
+    for a_max in range(-1, 5):
+        for b_max in range(-1, 5):
+            for r_max in (-1, 0, 1, 2, 5):
+                assert tables.catalog_size(a_max, b_max, r_max) == len(
+                    catalog(a_max, b_max, r_max))
