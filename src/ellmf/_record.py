@@ -13,9 +13,9 @@ class Record:
     the fields in that order, only to check, normalise or default them.
     Assigning or deleting an attribute afterwards raises AttributeError.
     Two records are equal when they are of one class and their fields are
-    equal, and the hash is that of the tuple of fields.  == reads the
-    class's _key: the slot itself for one field, so the comparison costs
-    one slot read a side, else the tuple of fields.
+    equal, and the hash is that of the tuple of fields.  Both read the
+    class's _key: the slot itself for one field, so == costs one slot read
+    a side, else the tuple of fields, built by one attrgetter.
     """
 
     __slots__ = ()
@@ -47,7 +47,8 @@ class Record:
         return self._key == other._key
 
     def __hash__(self):
-        return hash(tuple([getattr(self, n) for n in self._fields]))
+        key = self._key
+        return hash((key,) if len(self._fields) == 1 else key)
 
     def __repr__(self):
         args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

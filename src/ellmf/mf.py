@@ -67,6 +67,14 @@ class GradedMatrix(Record):
         object.__setattr__(self, "row_twists", row_twists)
         object.__setattr__(self, "col_twists", col_twists)
 
+    @classmethod
+    def _trusted(cls, entries, row_twists, col_twists) -> "GradedMatrix":
+        """For a tuple of row tuples and two twist tuples that already fit
+        one another: skips the checks of __init__."""
+        g = object.__new__(cls)
+        Record.__init__(g, entries, row_twists, col_twists)
+        return g
+
     @property
     def nrows(self) -> int:
         return len(self.row_twists)
@@ -91,29 +99,38 @@ class GradedMatrix(Record):
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.col_twists != other.row_twists:
             raise ValueError("twist mismatch in composition")
-        cols = tuple(zip(*other.entries))
+        # With no inner rows zip would yield no columns; each entry is then
+        # dot(()), the zero polynomial.
+        cols = (tuple(zip(*other.entries)) if other.entries
+                else ((),) * other.ncols)
         rows = tuple(tuple(dot(zip(row, col)) for col in cols)
                      for row in self.entries)
-        return GradedMatrix(rows, self.row_twists, other.col_twists)
+        return GradedMatrix._trusted(rows, self.row_twists, other.col_twists)
 
     def twist(self, m: int) -> "GradedMatrix":
         """Tensor with S(-m): shifts both twist vectors by m."""
-        return GradedMatrix(self.entries,
-                            tuple(u + m for u in self.row_twists),
-                            tuple(v + m for v in self.col_twists))
+        return GradedMatrix._trusted(self.entries,
+                                     tuple(u + m for u in self.row_twists),
+                                     tuple(v + m for v in self.col_twists))
 
     def specialize(self, value) -> "GradedMatrix":
-        return GradedMatrix(tuple(tuple(e.specialize(value) for e in row)
-                                  for row in self.entries),
-                            self.row_twists, self.col_twists)
+        return self._map(_specializer(value))
+
+    def _map(self, fn) -> "GradedMatrix":
+        """fn applied to every entry, twists kept."""
+        return GradedMatrix._trusted(tuple(tuple(map(fn, row))
+                                           for row in self.entries),
+                                     self.row_twists, self.col_twists)
 
     def minor(self, i: int, j: int) -> "GradedMatrix":
         """Drop row i and column j together with their twists."""
-        return GradedMatrix(tuple(row[:j] + row[j + 1:]
-                                  for r, row in enumerate(self.entries)
-                                  if r != i),
-                            self.row_twists[:i] + self.row_twists[i + 1:],
-                            self.col_twists[:j] + self.col_twists[j + 1:])
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError("minor index out of range")
+        return GradedMatrix._trusted(
+            tuple(row[:j] + row[j + 1:]
+                  for r, row in enumerate(self.entries) if r != i),
+            self.row_twists[:i] + self.row_twists[i + 1:],
+            self.col_twists[:j] + self.col_twists[j + 1:])
 
     def schur_complement(self, i: int, j: int) -> "GradedMatrix":
         """Cancel the unit u at (i, j): the (i, j) minor minus
@@ -130,7 +147,7 @@ class GradedMatrix(Record):
                 row = tuple(dot(((a, UNIT), (coef, b)))
                             for a, b in zip(row, top))
             rows.append(row)
-        return GradedMatrix(rows, m.row_twists, m.col_twists)
+        return GradedMatrix._trusted(tuple(rows), m.row_twists, m.col_twists)
 
 
 def block_lower(top_left: GradedMatrix, bottom_left: GradedMatrix,
@@ -144,9 +161,22 @@ def block_lower(top_left: GradedMatrix, bottom_left: GradedMatrix,
     rows = [row + (z,) * bottom_right.ncols for row in top_left.entries]
     rows += [bl + br for bl, br in zip(bottom_left.entries,
                                        bottom_right.entries)]
-    return GradedMatrix(tuple(rows),
-                        top_left.row_twists + bottom_right.row_twists,
-                        top_left.col_twists + bottom_right.col_twists)
+    return GradedMatrix._trusted(tuple(rows),
+                                 top_left.row_twists + bottom_right.row_twists,
+                                 top_left.col_twists + bottom_right.col_twists)
+
+
+def _specializer(value):
+    """p -> p.specialize(value), computed once per polynomial object; the
+    first pole raises where entry-by-entry specialization would."""
+    done: dict[int, BivariatePoly] = {}
+
+    def at(p: BivariatePoly) -> BivariatePoly:
+        s = done.get(id(p))
+        if s is None:
+            s = done[id(p)] = p.specialize(value)
+        return s
+    return at
 
 
 class Certificate(Record):
@@ -166,9 +196,11 @@ class MatrixFactorization(Record):
     __slots__ = ("A", "B", "f", "__dict__")
 
     def specialize(self, value) -> "MatrixFactorization":
-        return MatrixFactorization(self.A.specialize(value),
-                                   self.B.specialize(value),
-                                   self.f.specialize(value))
+        """Each distinct entry object is specialized once: a cone shares
+        its KST blocks and chain-map entries between cells."""
+        at = _specializer(value)
+        return MatrixFactorization(self.A._map(at), self.B._map(at),
+                                   at(self.f))
 
     @cached_property
     def certificate(self) -> Certificate:

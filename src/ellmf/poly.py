@@ -2,15 +2,20 @@
 
 A polynomial is a sorted tuple of (exponents, nonzero Scalar) terms.  The
 public constructor merges and sorts outside input; arithmetic results are
-already canonical and skip it.  Every sum and product, `+`, `-` and `*`
-included, is one sum of products, `dot`: term products are grouped by
-monomial and each coefficient is one qlambda.dot, accumulated over one
-common denominator and canonicalised once per entry.
+already canonical and skip it.  Every sum and product, `+`, `-`, `*` and
+`scale` included, is one sum of products, `dot`.  When every coefficient
+has an integer constant denominator, as at a numeric parameter and in most
+symbolic work, dot adds each term product straight into its monomial's
+integer numerator over a running integer denominator, kept at the lcm by
+qlambda's _rescale, and makes each coefficient canonical once, through
+qlambda's _canon.  A coefficient with a parameter-dependent denominator
+sends the whole sum down the general path: term products grouped by
+monomial, one qlambda.dot per monomial.
 """
 from __future__ import annotations
 
 from ._record import Record
-from .qlambda import Scalar
+from .qlambda import Scalar, _canon, _rescale
 from .qlambda import dot as scalar_dot
 
 
@@ -35,8 +40,8 @@ class BivariatePoly(Record):
     def _trusted(cls, terms) -> "BivariatePoly":
         """For terms that are already sorted, merged, nonzero and canonical:
         skips the merge of __init__."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        p = _new(cls)
+        _set_terms(p, terms)
         return p
 
     @classmethod
@@ -70,11 +75,10 @@ class BivariatePoly(Record):
         return dot(((self, other),))
 
     def scale(self, c) -> "BivariatePoly":
+        """self times the constant c: a dot against c as a polynomial."""
         c = Scalar.of(c)
-        if not c:
-            return BivariatePoly.zero()
-        return BivariatePoly._trusted(tuple((k, v * c)
-                                            for k, v in self.terms))
+        return dot(((self, BivariatePoly._trusted((((0, 0), c),) if c
+                                                   else ())),))
 
     def total_degree(self) -> int | None:
         if not self.terms:
@@ -107,10 +111,86 @@ class BivariatePoly(Record):
         return " + ".join(parts)
 
 
+_new = object.__new__
+_set_terms = BivariatePoly.terms.__set__
+
+
 def dot(pairs) -> BivariatePoly:
-    """The sum of p*q over the (p, q) pairs: term products grouped by
-    monomial, one qlambda.dot per monomial, the result built once.  A sum
-    or difference is a dot against UNIT or MINUS_UNIT."""
+    """The sum of p*q over the (p, q) pairs, the result built once.  A sum
+    or difference is a dot against UNIT or MINUS_UNIT.
+
+    One pass over the term products.  Each monomial keeps one list
+    [den, n0, n1, ...]: the integer coefficients of its numerator in the
+    parameter over the positive integer den.  A product t/d adds into it
+    at once, after _rescale if d is not den.  At the end _canon makes each
+    monomial canonical with one integer gcd.  The first coefficient with a
+    parameter-dependent denominator hands the whole sum to
+    _dot_by_monomial.
+    """
+    pairs = tuple(pairs)
+    sums: dict[tuple[int, int], list] = {}
+    get = sums.get
+    try:
+        for p, q in pairs:
+            qterms = q.terms
+            for (i1, j1), c1 in p.terms:
+                n1 = c1._n
+                (d1,) = c1._d           # ValueError: depends on lambda
+                x1 = n1[0] if len(n1) == 1 else None
+                for (i2, j2), c2 in qterms:
+                    n2 = c2._n
+                    (d,) = c2._d
+                    d *= d1
+                    key = (i1 + i2, j1 + j2)
+                    s = get(key)
+                    if x1 is not None and len(n2) == 1:
+                        t = x1 * n2[0]
+                        if s is None:
+                            sums[key] = [d, t]
+                        elif s[0] == d:
+                            s[1] += t
+                        else:
+                            t *= _rescale(s, d)
+                            s[1] += t
+                        continue
+                    if s is None:
+                        s = sums[key] = [d]
+                        m = 1
+                    else:
+                        m = 1 if s[0] == d else _rescale(s, d)
+                    top = len(n1) + len(n2)
+                    if len(s) < top:
+                        s += [0] * (top - len(s))
+                    if x1 is not None:
+                        x = x1 * m
+                        for k, y in enumerate(n2, 1):
+                            s[k] += x * y
+                    elif len(n2) == 1:
+                        y = n2[0] * m
+                        for k, x in enumerate(n1, 1):
+                            s[k] += x * y
+                    else:
+                        for k, x in enumerate(n1, 1):
+                            if x:
+                                x *= m
+                                for j, y in enumerate(n2, k):
+                                    s[j] += x * y
+    except ValueError:
+        return _dot_by_monomial(pairs)
+    terms = []
+    for key in sorted(sums):
+        s = sums[key]
+        while not s[-1]:
+            s.pop()
+        if len(s) > 1:
+            terms.append((key, _canon(tuple(s[1:]), (s[0],))))
+    return BivariatePoly._trusted(tuple(terms))
+
+
+def _dot_by_monomial(pairs) -> BivariatePoly:
+    """dot for coefficients with parameter-dependent denominators: term
+    products grouped by monomial, one qlambda.dot per monomial, where the
+    polynomial gcd runs."""
     groups: dict[tuple[int, int], list] = {}
     for p, q in pairs:
         for (i1, j1), c1 in p.terms:

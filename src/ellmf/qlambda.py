@@ -7,15 +7,15 @@ coefficients of N and D together have gcd 1.  Zero is () / (1,).
 
 Arithmetic runs on Python ints, fraction-free in the style of Bareiss.
 Every sum and product, `+`, `-` and `*` included, is one sum of products,
-`dot`: the products accumulate over one common denominator, which is
-canonicalised once at the end.  Rational constants, the only scalars at a
-numeric parameter, take a lane of their own: their products accumulate
-into one integer pair num/den, made canonical by one integer gcd, and
-specialize evaluates N and D in integers alone.  The first product that
-depends on the parameter hands that pair over to an integer coefficient
-list, and the polynomial gcd (a primitive pseudo-remainder sequence) runs
-only when the denominator depends on the parameter.  The public num/den,
-as Fraction tuples with a monic den, are derived from N/D on demand.
+`dot`: the products accumulate into one integer coefficient list over one
+common denominator, which _canon makes canonical once at the end.  The
+polynomial gcd (a primitive pseudo-remainder sequence) runs only when that
+denominator depends on the parameter.  poly.dot accumulates polynomial
+products over integer denominators in the same integer form and ends in
+the same _canon; it calls dot only for coefficients with
+parameter-dependent denominators.  specialize evaluates N and D in
+integers alone.  The public num/den, as Fraction tuples with a monic den,
+are derived from N/D on demand.
 
 This is the coefficient field for all matrix work, so identities proved
 here hold for every admissible parameter value at once.
@@ -23,14 +23,12 @@ here hold for every admissible parameter value at once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 Poly = tuple[Fraction, ...]        # coefficient of lambda^k at index k
 ZPoly = tuple[int, ...]            # the same over the integers, trimmed
 
 P_ONE: Poly = (Fraction(1),)
-_UNITS = ((1,), (-1,))       # the numerators of the constants 1 and -1
 
 
 def p_trim(c) -> Poly:
@@ -139,100 +137,75 @@ def _canon(n: ZPoly, d: ZPoly) -> "Scalar":
     if d[-1] < 0:
         c = -c
     if c != 1:
-        n = tuple(v // c for v in n)
-        d = tuple(v // c for v in d)
+        n = tuple([v // c for v in n])
+        d = tuple([v // c for v in d])
     return _make(n, d)
+
+
+def _rescale(s: list, q: int) -> int:
+    """Bring s = [den, n0, n1, ...], the integer coefficients in the
+    parameter of a numerator over the positive integer den, over
+    lcm(den, q); return lcm/q, the factor a product over q enters with."""
+    den = s[0]
+    g = gcd(den, q)
+    if g != q:
+        r = q // g
+        s[0] = den * r
+        for k in range(1, len(s)):
+            s[k] *= r
+    return den // g
 
 
 def dot(pairs) -> "Scalar":
     """The sum of a*b over the (a, b) pairs, canonicalised once.
 
-    Constant lane: while every product has rational constant factors, the
-    sum is one integer pair num/den, den growing to lcm(den, q) for a
-    product with denominator q.  If no product depends on the parameter,
-    one integer gcd makes num/den canonical.
-
-    At the first product that does, the pair hands over to a coefficient
-    list acc = [num] over the common denominator den*lam, with lam an
-    integer polynomial, 1 at the start, and the pass goes on from that
-    product without a restart.  A product with an integer constant
-    denominator q grows den to lcm(den, q), and the list is rescaled by
-    lcm/den; one with a parameter-dependent denominator q other than lam
-    is multiplied into lam, and the list is rescaled by q.  Each product
-    enters times its cofactor over den*lam.  A lone product against a
-    constant +-1, as in x + 0, is its other factor, already canonical, and
-    is returned without the gcd.
-
-    Both lanes add the same products over the same common denominator, and
-    the canonical form of a value is unique, so the lane taken never shows
-    in the result.
+    The products accumulate into one integer coefficient list over the
+    common denominator den*lam, with den a positive integer and lam an
+    integer polynomial, both 1 at the start.  A product with an integer
+    constant denominator q grows den to lcm(den, q), and the list is
+    rescaled by lcm/den (_rescale, which poly.dot shares); one with a parameter-dependent denominator q other
+    than lam is multiplied into lam, and the list is rescaled by q.  Each
+    product enters times its cofactor over den*lam.  A lone nonzero
+    product against the constant +-1, as in x + 0, is +-(its other factor),
+    already canonical, and is returned without the gcd.
     """
-    it = iter(pairs)
-    num, den = 0, 1
-    for a, b in it:
-        n1, d1, n2, d2 = a._n, a._d, b._n, b._d
-        if not n1 or not n2:
-            continue
-        if len(n1) > 1 or len(n2) > 1 or len(d1) > 1 or len(d2) > 1:
-            break
-        q = d1[0] * d2[0]
-        if q == den:
-            num += n1[0] * n2[0]
-        else:
-            g = gcd(den, q)
-            num = num * (q // g) + n1[0] * n2[0] * (den // g)
-            den = den // g * q
-    else:
-        if not num:
-            return ZERO
-        g = gcd(num, den)
-        return _make((num // g,), (den // g,))
-    if not num:
-        for c, e in it:
-            if c._n and e._n:
-                it = chain(((c, e),), it)
-                break
-        else:
-            if d2 == (1,) and n2 in _UNITS:
-                return a if n2[0] == 1 else -a
-            if d1 == (1,) and n1 in _UNITS:
-                return b if n1[0] == 1 else -b
-    acc = [num] if num else []
+    pairs = [(a, b) for a, b in pairs if a._n and b._n]
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        if a == ONE or a == MINUS_ONE:
+            a, b = b, a
+        if b == ONE:
+            return a
+        if b == MINUS_ONE:
+            return -a
+    s = [1]                 # [den, n0, n1, ...]: the numerator over den
     lam = (1,)
-    for a, b in chain(((a, b),), it):
+    for a, b in pairs:
         n1, d1, n2, d2 = a._n, a._d, b._n, b._d
-        if not n1 or not n2:
-            continue
         if len(d1) == 1 and len(d2) == 1:
             q = d1[0] * d2[0]
-            m = 1
-            if q != den:
-                g = gcd(den, q)
-                if g != q:
-                    acc = [v * (q // g) for v in acc]
-                m = den // g
-                den = den // g * q
+            m = 1 if q == s[0] else _rescale(s, q)
             if len(lam) > 1:
                 n1 = _z_mul(n1, lam)
         else:
             q = _z_mul(d1, d2)
             if q != lam:
-                if acc:
-                    acc = list(_z_mul(acc, q))
+                if len(s) > 1:
+                    s[1:] = _z_mul(s[1:], q)
                 n1 = _z_mul(n1, lam)
                 lam = _z_mul(lam, q)
-            m = den
-        top = len(n1) + len(n2) - 1
-        if len(acc) < top:
-            acc += [0] * (top - len(acc))
-        for i, x in enumerate(n1):
+            m = s[0]
+        top = len(n1) + len(n2)
+        if len(s) < top:
+            s += [0] * (top - len(s))
+        for i, x in enumerate(n1, 1):
             if x:
                 x *= m
                 for j, y in enumerate(n2, i):
-                    acc[j] += x * y
-    while acc and not acc[-1]:
-        acc.pop()
-    return _canon(tuple(acc), tuple(den * v for v in lam))
+                    s[j] += x * y
+    while len(s) > 1 and not s[-1]:
+        s.pop()
+    return _canon(tuple(s[1:]), tuple(s[0] * v for v in lam))
 
 
 class Scalar:

@@ -221,6 +221,19 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_empty_inner_dimension_fails(capsys, monkeypatch):
+    """A 1x0 A and a 0x1 B pass every twist check, and A*B is the 1x1
+    zero matrix, not f."""
+    code, out = invoke(capsys, "mf", "build", "kst", "--format", "json")
+    doc = json.loads(out)
+    doc["A"] = {"rows": [[]], "row_twists": [0], "col_twists": []}
+    doc["B"] = {"rows": [], "row_twists": [], "col_twists": [4]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out = invoke(capsys, "mf", "verify", "-")
+    assert code == 1
+    assert out.startswith("FAIL")
+
+
 def test_slope_word_one_text(capsys):
     code, out = invoke(capsys, "slope-word", "1")
     assert code == 0

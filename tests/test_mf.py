@@ -307,6 +307,28 @@ def test_rectangular_fails_on_b_times_a():
         ("B*A", 1, 0, fy * X), ("B*A", 1, 1, fy * Y - f))
 
 
+def test_empty_inner_dimension_fails_verification():
+    """A product over an inner dimension of 0 is a zero matrix of the
+    outer shape, so a 1x0 and a 0x1 matrix never factor f."""
+    f = constants()[0]
+    zero = BivariatePoly.zero()
+    row, col = GradedMatrix(((),), (0,), ()), GradedMatrix((), (), (4,))
+    assert row.compose(col) == GradedMatrix(((zero,),), (0,), (4,))
+    assert col.compose(row.twist(4)) == GradedMatrix((), (), ())
+    m = MatrixFactorization(row, col, f)
+    assert verify_mf(m).failures == (("A*B", 0, 0, -f),)
+    flat = MatrixFactorization(GradedMatrix((), (), (0,)),
+                               GradedMatrix(((),), (0,), ()), f)
+    assert verify_mf(flat).failures == (("B*A", 0, 0, -f),)
+
+
+def test_minor_index_out_of_range():
+    g = mf_kst().A
+    for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(IndexError):
+            g.minor(i, j)
+
+
 def test_certificate_cached_per_object():
     m = mf_cone(PointP1(ONE, ONE))
     assert verify_mf(m) is verify_mf(m) is m.certificate

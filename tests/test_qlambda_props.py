@@ -4,8 +4,9 @@ Scalars are drawn as num/den coefficient lists with small rational entries
 and parameter degree at most 3 (4 for specialize).  Every result is
 compared in canonical form: sympy.cancel's num/den, rescaled to a monic
 den, against Scalar's num/den.  dot is also checked against a test-local
-copy of its single-path form, which has no lane for rational constants.
-hypothesis and sympy are test-only; the tests skip without them.
+copy of its single-path form, which has no lane for rational constants,
+and poly.dot against that copy run once per monomial.  hypothesis and
+sympy are test-only; the tests skip without them.
 """
 import re
 from fractions import Fraction
@@ -19,7 +20,9 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings                  # noqa: E402
 from hypothesis import strategies as st                 # noqa: E402
 
+from ellmf import mf                                      # noqa: E402
 from ellmf.poly import BivariatePoly                      # noqa: E402
+from ellmf.poly import dot as poly_dot                    # noqa: E402
 from ellmf.qlambda import ZERO, Scalar, _canon, _z_mul, dot  # noqa: E402
 
 L = sympy.Symbol("L")
@@ -200,7 +203,7 @@ def test_dot_shared_lambda_denominator(terms, den):
     assert form(got) == canonical(want)
 
 
-# --- the rational lane of dot and the integer-only specialize ---------------
+# --- dot over runs of rational constants, and the integer-only specialize ---
 
 def single_path_dot(pairs):
     """dot as it was before its constant lane: every product goes through
@@ -358,3 +361,185 @@ def test_poly_specialize_matches_constructor(p, value):
         return
     got = p.specialize(value)
     assert got == want and got.terms == want.terms
+
+
+# --- poly.dot: one pass over integer denominators, else one dot a monomial --
+
+def monomial_groups(pairs):
+    """The term products of the sum as (c1, c2) lists, by monomial."""
+    groups = {}
+    for p, q in pairs:
+        for (i1, j1), c1 in p.terms:
+            for (i2, j2), c2 in q.terms:
+                groups.setdefault((i1 + i2, j1 + j2), []).append((c1, c2))
+    return dict(sorted(groups.items()))
+
+
+def by_monomial_dot(pairs):
+    """poly.dot's reference: single_path_dot over each monomial's group,
+    as (monomial, (_n, _d)) pairs."""
+    coeffs = ((k, single_path_dot(g)) for k, g in
+              monomial_groups(pairs).items())
+    return tuple((k, (c._n, c._d)) for k, c in coeffs if c)
+
+
+def scalar_expr(c: Scalar) -> "sympy.Expr":
+    return to_expr(c.num) / to_expr(c.den)
+
+
+def oracle_dot(pairs):
+    """The nonzero coefficients of the sum, each summed by sympy."""
+    sums = {k: sum((scalar_expr(a) * scalar_expr(b) for a, b in g),
+                   sympy.Integer(0))
+            for k, g in monomial_groups(pairs).items()}
+    return {k: v for k, v in sums.items() if sympy.cancel(v) != 0}
+
+
+def int_den_scalars():
+    """(num, den) with den an integer or a rational constant."""
+    return st.one_of(st.builds(lambda n: ([Fraction(v) for v in n], [F1]),
+                               ints),
+                     st.tuples(coeffs, st.lists(small.filter(bool),
+                                                min_size=1, max_size=1)))
+
+
+lambda_den_scalars = st.tuples(coeffs.filter(any),
+                               coeffs.filter(lambda c: any(c[1:])))
+
+
+@st.composite
+def polys(draw, coefficients, lead=None):
+    """Up to three terms of degree at most 2 in X and Y, so that products
+    meet on shared monomials; with lead, at least one term, whose
+    coefficient is drawn from lead."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=0 if lead is None else 1, max_size=3,
+                         unique=True))
+    drawn = [coefficients if lead is None else lead] + [coefficients] * (
+        len(keys) - 1)
+    return BivariatePoly(tuple((k, Scalar(*draw(c)))
+                               for k, c in zip(keys, drawn)))
+
+
+int_den_pairs = st.lists(st.tuples(polys(int_den_scalars()),
+                                   polys(int_den_scalars())), max_size=4)
+
+
+@st.composite
+def lambda_den_pair(draw):
+    """A pair with a term over a parameter-dependent denominator, on
+    either side."""
+    mixed = st.one_of(int_den_scalars(), lambda_den_scalars)
+    p = draw(polys(mixed, lead=lambda_den_scalars))
+    q = draw(polys(mixed))
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+@st.composite
+def poly_pair_lists(draw, where):
+    """Pairs over integer denominators with a pair over a
+    parameter-dependent one first, after a run of them, or nowhere."""
+    raw = draw(int_den_pairs)
+    if where == "first":
+        raw = [draw(lambda_den_pair())] + raw
+    elif where == "after":
+        raw = raw + [draw(lambda_den_pair())] + draw(int_den_pairs)
+    return raw
+
+
+WHERE = ("none", "first", "after")
+
+
+def terms_form(p: BivariatePoly):
+    return tuple((k, (c._n, c._d)) for k, c in p.terms)
+
+
+@pytest.mark.parametrize("where", WHERE)
+@SETTINGS
+@given(data=st.data())
+def test_poly_dot_matches_per_monomial_dot_and_oracle(where, data):
+    pairs = data.draw(poly_pair_lists(where))
+    got = poly_dot(pairs)
+    assert terms_form(got) == by_monomial_dot(pairs)
+    assert poly_dot(iter(pairs)) == got and poly_dot(p for p in pairs) == got
+    want = oracle_dot(pairs)
+    assert [k for k, _ in got.terms] == sorted(want)
+    for k, c in got.terms:
+        assert form(c) == canonical(want[k])
+
+
+@pytest.mark.parametrize("where", WHERE)
+@SETTINGS
+@given(data=st.data(), rng=st.randoms(use_true_random=False))
+def test_poly_dot_cancels_to_zero(where, data, rng):
+    """Each pair next to its negation, in shuffled order, zero operands
+    included."""
+    pairs = data.draw(poly_pair_lists(where))
+    pairs = pairs + [(-p, q) for p, q in pairs]
+    pairs += [(BivariatePoly.zero(), q) for _, q in pairs[:2]]
+    rng.shuffle(pairs)
+    assert poly_dot(pairs).terms == ()
+    assert poly_dot([]) == BivariatePoly.zero()
+
+
+scale_factors = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(lambda c: Scalar(*c), int_den_scalars()),
+    st.builds(lambda c: Scalar(*c), lambda_den_scalars))
+
+
+@SETTINGS
+@given(polys(st.one_of(int_den_scalars(), lambda_den_scalars)),
+       scale_factors)
+def test_scale_is_termwise_product(p, c):
+    """scale(c) for a rational, an integer-denominator and a
+    parameter-denominator c is the product taken term by term."""
+    s = Scalar.of(c)
+    want = tuple((k, v * s) for k, v in p.terms if s)
+    assert terms_form(p.scale(c)) == tuple((k, (v._n, v._d))
+                                           for k, v in want)
+
+
+def entrywise(m, value):
+    """MatrixFactorization.specialize as one call per cell."""
+    def at(g):
+        return mf.GradedMatrix(tuple(tuple(e.specialize(value) for e in row)
+                                     for row in g.entries),
+                               g.row_twists, g.col_twists)
+    return mf.MatrixFactorization(at(m.A), at(m.B), m.f.specialize(value))
+
+
+def cells(m):
+    return [e for g in (m.A, m.B) for row in g.entries for e in row] + [m.f]
+
+
+def test_cone_shares_entries():
+    """The KST blocks and the chain-map entries are shared between cells,
+    so MatrixFactorization.specialize has objects to specialize once."""
+    m = mf.mf_cone(mf.PointP1(mf.LAMBDA * 2 + 1, mf.ONE))
+    assert (len(cells(m)), len({id(e) for e in cells(m)})) == (33, 15)
+
+
+@SETTINGS
+@given(st.integers(-3, 3).filter(bool), st.integers(-5, 5), small,
+       st.booleans())
+def test_specialize_shared_entries_as_entrywise(a, b, value, reduced):
+    """A cone over [a*lambda + b : 1], or its reduction, whose denominator
+    vanishes at lambda = -b/a: the same factorization, or the same error,
+    as specializing cell by cell; cells that were one object stay one."""
+    m = mf.mf_cone(mf.PointP1(mf.LAMBDA * a + b, mf.ONE))
+    if reduced:
+        m = mf.reduce_mf(m)
+    for v in (value, Fraction(-b, a)):
+        try:
+            want = entrywise(m, v)
+        except ZeroDivisionError as e:
+            with pytest.raises(ZeroDivisionError,
+                               match=f"^{re.escape(str(e))}$"):
+                m.specialize(v)
+            continue
+        got = m.specialize(v)
+        assert got == want
+        first = {}
+        for e, s in zip(cells(m), cells(got)):
+            assert first.setdefault(id(e), s) is s
