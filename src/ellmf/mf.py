@@ -2,9 +2,8 @@
 constructors, symbolic verification, reduction to minimal form and Betti
 readout.  All arithmetic is exact over the lambda function field.  A
 passing verification of entries polynomial in lambda holds for every
-admissible parameter value; a reduction holds only for generic lambda,
-since reduce_mf may pivot on an element that vanishes at an admissible
-value (see reduce_mf).
+admissible parameter value.  reduce_mf pivots on +-1 first, so a cone's
+reduction holds wherever the point is defined (see reduce_mf).
 
 Verification composes A*B, and B*A only when A*B has a defect or A is not
 square: over the integral domain Q(lambda)[X, Y], A*B = f*I with f != 0
@@ -20,7 +19,7 @@ from functools import cached_property
 
 from ._record import Record
 from .poly import UNIT, BivariatePoly, X, Y, dot
-from .qlambda import LAMBDA, ONE, ZERO, Scalar
+from .qlambda import LAMBDA, MINUS_ONE, ONE, ZERO, Scalar
 
 
 # The four ordered linear factors of f and the quarter-derivative cofactors
@@ -307,13 +306,16 @@ def _chain_maps(s: Scalar, t: Scalar):
     linear in (s, t): phi = [[s, t], [s*f_x/Y, -t*f_y/X]] and
     psi = [[-t*f_y/X, -t], [-s*f_x/Y, s]]."""
     fx, fy = FX_OVER_Y.scale(s), FY_OVER_X.scale(-t)
-    c_s, c_t = UNIT.scale(s), UNIT.scale(t)
+    c_s, c_t = (BivariatePoly.monomial(0, 0, v) for v in (s, t))
     return (GradedMatrix(((c_s, c_t), (fx, fy)), (2, 0), (2, 2)),
             GradedMatrix(((fy, -c_t), (-fx, c_s)), (3, 3), (5, 3)))
 
 
 # (phi0, psi0, phiinf, psiinf): the pencil at [0 : 1] and at [1 : 0].
 PHI_PSI = (*_chain_maps(ZERO, ONE), *_chain_maps(ONE, ZERO))
+# The blocks every cone glues: the suspended KST and its twist.
+KST_A1, KST_A2, KST_B1, KST_B2 = (g.twist(k) for g in (KST.A, KST.B)
+                                  for k in (1, 2))
 
 
 def mf_kst() -> MatrixFactorization:
@@ -337,8 +339,8 @@ def mf_cone(p: PointP1) -> MatrixFactorization:
     -(phi_p, psi_p); the pencil is linear in the point, so the negated maps
     are the pencil at (-p0, -p1)."""
     neg_phi, neg_psi = _chain_maps(-p.p0, -p.p1)
-    c1 = block_lower(KST.A.twist(1), neg_phi, KST.A.twist(2))
-    c2 = block_lower(KST.B.twist(1), neg_psi, KST.B.twist(2))
+    c1 = block_lower(KST_A1, neg_phi, KST_A2)
+    c2 = block_lower(KST_B1, neg_psi, KST_B2)
     return MatrixFactorization(c1, c2, F)
 
 
@@ -366,11 +368,18 @@ def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
 # --- reduction to minimal form -------------------------------------------
 
 def _find_scalar(g: GradedMatrix):
+    """The pivot of reduce_mf (see there), or None if g has no unit."""
+    hit, tier = None, 3
     for i, row in enumerate(g.entries):
         for j, e in enumerate(row):
             if e.is_scalar():
-                return i, j
-    return None
+                c = e.terms[0][1]
+                if c in (ONE, MINUS_ONE):
+                    return i, j
+                t = 1 if c.is_rational() else 2
+                if t < tier:
+                    hit, tier = (i, j), t
+    return hit
 
 
 def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
@@ -389,11 +398,14 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     The input must pass verification; its cached certificate is read, so
     an input verified before is not checked again.
 
-    Valid for generic lambda only: a pivot is any nonzero element of the
-    lambda function field, even one that vanishes at an admissible value.
-    Known case: the reduced mf_cone(PointP1(lambda - 2, 1)) has a
-    denominator vanishing at lambda = 2, so specializing it there raises
-    ZeroDivisionError, while reducing the cone specialized at 2 works.
+    The pivot is the first unit equal to +-1, else the first rational
+    constant, else the first unit, each in row-major order.  Every cone
+    has a +-1 in A (-p1, or -p0 at [1 : 0]) and in B, so it reduces
+    without division and the result specializes wherever p0 is defined:
+    the case that remains is a pole of p0, as at [1 : lambda - 2] with
+    lambda = 2.
+    On other input a pivot that depends on lambda can vanish at an
+    admissible value, so there the result holds for generic lambda.
     """
     cert = m.certificate
     if not cert.ok:

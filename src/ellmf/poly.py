@@ -15,7 +15,7 @@ monomial, one qlambda.dot per monomial.
 from __future__ import annotations
 
 from ._record import Record
-from .qlambda import Scalar, _canon, _rescale
+from .qlambda import MINUS_ONE, ONE, Scalar, _canon, _rescale
 from .qlambda import dot as scalar_dot
 
 
@@ -75,8 +75,13 @@ class BivariatePoly(Record):
         return dot(((self, other),))
 
     def scale(self, c) -> "BivariatePoly":
-        """self times the constant c: a dot against c as a polynomial."""
+        """self times the constant c: self or -self for c = +-1, else a dot
+        against c as a polynomial."""
         c = Scalar.of(c)
+        if c == ONE:
+            return self
+        if c == MINUS_ONE:
+            return -self
         return dot(((self, BivariatePoly._trusted((((0, 0), c),) if c
                                                    else ())),))
 

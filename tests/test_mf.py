@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 except ImportError:       # test-only dependency; the property test skips
     st = None
 
 from ellmf.mf import (
-    BRANCH_POINTS, GradedMatrix, MatrixFactorization, PointP1, betti_of_mf,
-    block_lower, constants, is_minimal, lemma63_invariants, mf_cone, mf_kst,
-    mf_linear, mf_Mp_reduced, phi_psi_maps, reduce_mf, verify_mf,
+    BRANCH_POINTS, GradedMatrix, MatrixFactorization, PointP1, _find_scalar,
+    betti_of_mf, block_lower, constants, is_minimal, lemma63_invariants,
+    mf_cone, mf_kst, mf_linear, mf_Mp_reduced, phi_psi_maps, reduce_mf,
+    verify_mf,
 )
 from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar
@@ -470,6 +471,84 @@ def test_reduce_symbolic_point():
     red = reduce_mf(mf_cone(p))
     assert verify_mf(red).ok
     assert betti_of_mf(red) == betti_of_mf(mf_Mp_reduced(p))
+
+
+def test_pivot_tiers_and_row_major_tie():
+    """The pivot is the first unit equal to +-1, else the first rational
+    constant, else the first unit, each tier in row-major order."""
+    z = BivariatePoly.zero()
+
+    def c(v):
+        return BivariatePoly.monomial(0, 0, v)
+
+    def pivot(*rows):
+        return _find_scalar(GradedMatrix(rows, (0,) * len(rows),
+                                         (0,) * len(rows[0])))
+
+    lam_unit = c(LAMBDA + 2)
+    assert pivot((lam_unit, c(3), X), (c(-1), c(1), z)) == (1, 0)
+    assert pivot((X, c(-1)), (c(1), z)) == (0, 1)
+    assert pivot((lam_unit, X), (c(Fraction(1, 2)), c(3))) == (1, 0)
+    assert pivot((X, lam_unit), (c(LAMBDA), z)) == (0, 1)
+    assert pivot((X, z), (Y, z)) is None
+
+
+def _lambda_denominators(m):
+    return [c for g in (m.A, m.B) for row in g.entries for e in row
+            for _, c in e.terms if len(c.den) > 1]
+
+
+def test_reduced_cone_is_division_free_and_equals_mp_reduced():
+    """Every cone has a +-1 entry in A and in B, so reduce_mf never divides
+    by a lambda-dependent pivot: at [p0 : 1] with p0 = a*lambda + b
+    (a, b in -3..3) or p0 rational the result has no lambda-dependent
+    denominator, and it is mf_Mp_reduced(p) entry for entry.  At p0 = +-1
+    the row-major tie takes -p0 at (2, 0) instead; both outcomes still
+    verify with the same Betti table (test_reduce_cone_matches_reduced)."""
+    p0s = [LAMBDA * a + b for a in range(-3, 4) for b in range(-3, 4)]
+    p0s += [Scalar.of(Fraction(q)) for q in ("2/3", "-5/7", "7", "-4")]
+    for p0 in p0s:
+        if p0 in (ONE, -ONE):
+            continue
+        p = PointP1(p0, ONE)
+        red, want = reduce_mf(mf_cone(p)), mf_Mp_reduced(p)
+        assert not _lambda_denominators(red)
+        assert (red.A, red.B) == (want.A, want.B)
+
+
+def test_reduce_then_specialize_where_p0_has_no_pole():
+    """The reduced cone at [lambda - 2 : 1] specializes at lambda = 2.  The
+    case that remains is a point whose p0 itself has a pole there."""
+    red = reduce_mf(mf_cone(PointP1(LAMBDA - 2, ONE)))
+    spec = red.specialize(Fraction(2))
+    assert verify_mf(spec).ok
+    assert betti_of_mf(spec) == betti_of_mf(red)
+    with pytest.raises(ZeroDivisionError):
+        reduce_mf(mf_cone(PointP1(ONE, LAMBDA - 2))).specialize(Fraction(2))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_reduce_and_specialize_give_the_same_betti_table():
+    """At [a*lambda + b : c*lambda + d] and a rational lambda where p0 has
+    no pole, reducing then specializing and specializing then reducing
+    both verify, and the two agree on the Betti table (their entries may
+    differ by a base change, since the pivots can differ)."""
+    small = st.integers(-3, 3)
+    lams = st.fractions(-5, 5, max_denominator=5).filter(
+        lambda v: v not in (0, 1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(small, small, small, small, lams)
+    def check(a, b, c, d, lam):
+        assume(a or b or c or d)
+        assume(c * lam + d != 0 or c == d == 0)
+        m = mf_cone(PointP1(LAMBDA * a + b, LAMBDA * c + d))
+        one, two = reduce_mf(m).specialize(lam), reduce_mf(m.specialize(lam))
+        assert verify_mf(one).ok and verify_mf(two).ok
+        assert betti_of_mf(one) == betti_of_mf(two)
+
+    check()
 
 
 def test_reduce_is_identity_on_minimal():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ellmf.poly import BivariatePoly, X, Y
-from ellmf.qlambda import LAMBDA, ONE, Scalar, p_trim
+from ellmf.poly import MINUS_UNIT, UNIT, BivariatePoly, X, Y, dot
+from ellmf.qlambda import LAMBDA, MINUS_ONE, ONE, Scalar, p_trim
 
 
 def rand_scalar(rng):
@@ -117,6 +117,18 @@ def test_arithmetic_results_are_canonical():
         for r in results:
             assert_canonical(r)
         assert a * c == naive_product(a, c)
+
+
+def test_scale_by_plus_minus_one_equals_dot():
+    """scale(1) is self and scale(-1) is -self, with no dot pass; both equal
+    the dot against the constant, whatever form +-1 is given in."""
+    rng = random.Random(44)
+    for p in [BivariatePoly.zero()] + [rand_poly(rng) for _ in range(30)]:
+        for one in (1, Fraction(1), ONE):
+            assert p.scale(one) is p
+            assert p.scale(one) == dot(((p, UNIT),))
+        for minus_one in (-1, Fraction(-1), MINUS_ONE):
+            assert p.scale(minus_one) == -p == dot(((p, MINUS_UNIT),))
 
 
 def test_fast_path_edge_cases():
