@@ -10,6 +10,13 @@ square: over the integral domain Q(lambda)[X, Y], A*B = f*I with f != 0
 gives det A * det B = f^n != 0, so B = f*A^-1 over the fraction field and
 B*A = f*I follows.  Each factorization caches its certificate, so checking
 the same object twice composes once.
+
+A cone built by cone(M, N, phi, psi) is checked from its parts: when M
+and N share f, pass verification and are square, and phi and psi are
+homogeneous, its A*B is f*I in both diagonal blocks and 0 in the upper
+right one, so only the lower left block phi*B_M + A_N*psi is formed, and
+B*A is skipped as above.  In every other case, and on any copy of the cone
+(specialized, pickled or rebuilt from its fields), the full check runs.
 """
 from __future__ import annotations
 
@@ -189,8 +196,10 @@ class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
     and every field under it are immutable, so its certificate (see
     verify_mf) depends on its value alone: it is computed on first use and
-    cached on this object, and lives as long as the object does.
-    specialize builds a new object, which is checked afresh."""
+    cached on this object, and lives as long as the object does.  A cone
+    (see cone) keeps its parts beside that cache, outside the fields, so
+    they take no part in ==, hash, repr or pickling.  specialize builds a
+    new object, without parts, which is checked afresh and in full."""
 
     __slots__ = ("A", "B", "f", "__dict__")
 
@@ -201,9 +210,25 @@ class MatrixFactorization(Record):
         return MatrixFactorization(self.A._map(at), self.B._map(at),
                                    at(self.f))
 
+    def twist(self, k: int) -> "MatrixFactorization":
+        """(A(k), B(k)): both matrices tensored with S(-k)."""
+        return MatrixFactorization(self.A.twist(k), self.B.twist(k), self.f)
+
+    def syzygy(self) -> "MatrixFactorization":
+        """(B, A(deg f)): the next step of the periodic resolution."""
+        deg = self.f.total_degree()
+        if deg is None:
+            raise ValueError("f is zero")
+        return MatrixFactorization(self.B, self.A.twist(deg), self.f)
+
     @cached_property
     def certificate(self) -> Certificate:
-        """The Certificate of verify_mf, computed on first use."""
+        """The Certificate of verify_mf, computed on first use: from the
+        parts of a cone when they suffice, else in full (see the module
+        docstring)."""
+        parts = self.__dict__.get("_parts")
+        if parts is not None and _parts_certify(*parts):
+            return Certificate(True, ())
         fails = []
         A, B, f = self.A, self.B, self.f
         deg = f.total_degree()
@@ -225,6 +250,47 @@ class MatrixFactorization(Record):
             # period down, hence the shift by deg f.
             _product_defects("B*A", B.compose(A.twist(deg)), f, fails)
         return Certificate(not fails, tuple(fails))
+
+
+def cone(M: MatrixFactorization, N: MatrixFactorization, phi: GradedMatrix,
+         psi: GradedMatrix) -> MatrixFactorization:
+    """The factorization ([[A_M, 0], [phi, A_N]], [[B_M, 0], [psi, B_N]])
+    of M's f.  Its A*B is f*I exactly when M and N factor f and
+    phi*B_M + A_N*psi = 0, that is when (phi, psi) is a chain map; the
+    certificate checks that block alone when it can (see the module
+    docstring).  Raises ValueError if a map's twists do not fit."""
+    c = MatrixFactorization(block_lower(M.A, phi, N.A),
+                            block_lower(M.B, psi, N.B), M.f)
+    c.__dict__["_parts"] = (M, N, phi, psi)
+    return c
+
+
+def direct_sum(M: MatrixFactorization,
+               N: MatrixFactorization) -> MatrixFactorization:
+    """M + N, block diagonal: the cone with zero maps."""
+    return cone(M, N, _zeros(N.A.row_twists, M.A.col_twists),
+                _zeros(N.B.row_twists, M.B.col_twists))
+
+
+def _zeros(row_twists, col_twists) -> GradedMatrix:
+    z = BivariatePoly.zero()
+    return GradedMatrix._trusted(((z,) * len(col_twists),) * len(row_twists),
+                                 row_twists, col_twists)
+
+
+def _parts_certify(M, N, phi, psi) -> bool:
+    """Whether the cone of these parts verifies by the block phi*B_M +
+    A_N*psi alone; each part's certificate is its cached one."""
+    if M.f != N.f or M.A.nrows != M.A.ncols or N.A.nrows != N.A.ncols:
+        return False
+    if not (M.certificate.ok and N.certificate.ok):
+        return False
+    if phi.homogeneity_defects() or psi.homogeneity_defects():
+        return False
+    # Row i of [phi | A_N] against column j of [B_M; psi].
+    cols = [b + p for b, p in zip(zip(*M.B.entries), zip(*psi.entries))]
+    return all(dot(zip(p + a, c)).is_zero()
+               for p, a in zip(phi.entries, N.A.entries) for c in cols)
 
 
 def defect_text(defect) -> str:
@@ -278,8 +344,10 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
     """The certificate of m: both product identities, twist bookkeeping
     and homogeneity, every defect collected instead of raised.  It is
     computed once per object (MatrixFactorization.certificate), and B*A
-    only when A*B has a defect or A is not square (see the module
-    docstring)."""
+    only when A*B has a defect or A is not square.  A cone built by cone()
+    whose parts verify forms only its chain-map block; otherwise, and on
+    a specialized or rebuilt copy, the full check runs and lists the same
+    failures (see the module docstring)."""
     return m.certificate
 
 
@@ -313,9 +381,9 @@ def _chain_maps(s: Scalar, t: Scalar):
 
 # (phi0, psi0, phiinf, psiinf): the pencil at [0 : 1] and at [1 : 0].
 PHI_PSI = (*_chain_maps(ZERO, ONE), *_chain_maps(ONE, ZERO))
-# The blocks every cone glues: the suspended KST and its twist.
-KST_A1, KST_A2, KST_B1, KST_B2 = (g.twist(k) for g in (KST.A, KST.B)
-                                  for k in (1, 2))
+# The parts every cone glues, the suspended KST and its twist; built once,
+# so each is verified once per process.
+KST1, KST2 = KST.twist(1), KST.twist(2)
 
 
 def mf_kst() -> MatrixFactorization:
@@ -335,13 +403,10 @@ def phi_psi_maps():
 
 def mf_cone(p: PointP1) -> MatrixFactorization:
     """4x4 cone factorization over the point p = [p0 : p1], gluing the
-    suspended residue-field factorization to its twist along
+    suspended residue-field factorization KST(1) to its twist KST(2) along
     -(phi_p, psi_p); the pencil is linear in the point, so the negated maps
     are the pencil at (-p0, -p1)."""
-    neg_phi, neg_psi = _chain_maps(-p.p0, -p.p1)
-    c1 = block_lower(KST_A1, neg_phi, KST_A2)
-    c2 = block_lower(KST_B1, neg_psi, KST_B2)
-    return MatrixFactorization(c1, c2, F)
+    return cone(KST1, KST2, *_chain_maps(-p.p0, -p.p1))
 
 
 def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
@@ -453,8 +518,8 @@ def lemma63_invariants(i: int) -> BranchReport:
         raise ValueError("index must be 1..4")
     mp = betti_of_mf(mf_Mp_reduced(BRANCH_POINTS[i - 1]))
     m = mf_linear(i)
-    sub = betti_of_mf(MatrixFactorization(m.A.twist(1), m.B.twist(1), m.f))
-    quot = betti_of_mf(MatrixFactorization(m.B.twist(-1), m.A.twist(3), m.f))
+    sub = betti_of_mf(m.twist(1))
+    quot = betti_of_mf(m.syzygy().twist(-1))
     mp_rd = rd_from_betti(mp)
     sub_rd = rd_from_betti(sub)
     quot_rd = rd_from_betti(quot)

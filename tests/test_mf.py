@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,14 +12,15 @@ except ImportError:       # test-only dependency; the property test skips
     st = None
 
 from ellmf.mf import (
-    BRANCH_POINTS, GradedMatrix, MatrixFactorization, PointP1, _find_scalar,
-    betti_of_mf, block_lower, constants, is_minimal, lemma63_invariants,
-    mf_cone, mf_kst, mf_linear, mf_Mp_reduced, phi_psi_maps, reduce_mf,
-    verify_mf,
+    BRANCH_POINTS, KST1, KST2, GradedMatrix, MatrixFactorization, PointP1,
+    _chain_maps, _find_scalar, betti_of_mf, cone, constants, direct_sum,
+    is_minimal, lemma63_invariants, mf_cone, mf_kst, mf_linear,
+    mf_Mp_reduced, phi_psi_maps, reduce_mf, verify_mf,
 )
 from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar
-from ellmf.tables import rd_from_betti
+from ellmf.shift import shift_rd
+from ellmf.tables import rd_from_betti, suspend_betti, translate_betti
 
 
 def sample_points(count, seed=71):
@@ -246,12 +249,16 @@ def _rectangular():
                                f)
 
 
-def _with_entry(m, side, i, j, delta):
-    """m with delta added to entry (i, j) of A (side "A") or B."""
-    g = getattr(m, side)
+def _perturbed(g, i, j, delta):
+    """g with delta added to entry (i, j)."""
     rows = [list(row) for row in g.entries]
     rows[i][j] = rows[i][j] + delta
-    g = GradedMatrix(rows, g.row_twists, g.col_twists)
+    return GradedMatrix(rows, g.row_twists, g.col_twists)
+
+
+def _with_entry(m, side, i, j, delta):
+    """m with delta added to entry (i, j) of A (side "A") or B."""
+    g = _perturbed(getattr(m, side), i, j, delta)
     return (MatrixFactorization(g, m.B, m.f) if side == "A"
             else MatrixFactorization(m.A, g, m.f))
 
@@ -585,15 +592,6 @@ def test_degree_read_from_f():
     assert (red.A, red.B) == (m.A, m.B)
 
 
-def _direct_sum(m, a, b):
-    """(m.A + a, m.B + b) as block diagonal matrices."""
-    def diag(top, bot):
-        z = GradedMatrix(((BivariatePoly.zero(),) * top.ncols,) * bot.nrows,
-                         bot.row_twists, top.col_twists)
-        return block_lower(top, z, bot)
-    return MatrixFactorization(diag(m.A, a), diag(m.B, b), m.f)
-
-
 def _elementary(twists, l, k, c):
     """I + c*E_lk on summands with the given twists."""
     n = len(twists)
@@ -622,11 +620,13 @@ def test_reduce_units_hidden_by_base_change():
     one, f = BivariatePoly.monomial(0, 0), base.f
     m = base
     for t in (1, 0):
-        m = _direct_sum(m, GradedMatrix(((one,),), (t,), (t,)),
-                        GradedMatrix(((f,),), (t,), (t + 4,)))
+        m = direct_sum(m, MatrixFactorization(
+            GradedMatrix(((one,),), (t,), (t,)),
+            GradedMatrix(((f,),), (t,), (t + 4,)), f))
     for t in (-2, -1):
-        m = _direct_sum(m, GradedMatrix(((f,),), (t,), (t + 4,)),
-                        GradedMatrix(((one,),), (t + 4,), (t + 4,)))
+        m = direct_sum(m, MatrixFactorization(
+            GradedMatrix(((f,),), (t,), (t + 4,)),
+            GradedMatrix(((one,),), (t + 4,), (t + 4,)), f))
     assert m.A.row_twists == (1, 0, 1, 0, -2, -1)
     assert m.A.col_twists == (2, 3, 1, 0, 2, 3)
     for side, l, k, c in ((0, 0, 2, 2), (0, 1, 3, 1),
@@ -651,6 +651,8 @@ def test_verify_reports_zero_f():
     assert ("f", -1, -1, "f is zero") in cert.failures
     with pytest.raises(ValueError):
         reduce_mf(zero_f)
+    with pytest.raises(ValueError, match="f is zero"):
+        zero_f.syzygy()
 
 
 def test_betti_requires_minimal():
@@ -678,8 +680,121 @@ def test_specialization_commutes():
 
 def test_lemma63_all_branches():
     for i in (1, 2, 3, 4):
+        # The pieces as they were built by hand from the fields.
+        m = mf_linear(i)
+        assert m.twist(1) == MatrixFactorization(m.A.twist(1), m.B.twist(1),
+                                                 m.f)
+        assert m.syzygy().twist(-1) == MatrixFactorization(
+            m.B.twist(-1), m.A.twist(3), m.f)
         rep = lemma63_invariants(i)
         assert rep.mp_rd == (0, 2)
         assert rep.sub_rd == (0, 1)
         assert rep.quot_rd == (0, 1)
         assert rep.additive
+
+
+# --- operations on factorizations ------------------------------------------
+
+CONE_POINTS = (sample_points(12)
+               + [PointP1(LAMBDA * a + b, ONE)
+                  for a in range(-3, 4) for b in range(-3, 4)])
+
+
+def fresh_certificate(m):
+    """The certificate of a copy of m built from its fields alone."""
+    return MatrixFactorization(m.A, m.B, m.f).certificate
+
+
+def test_cone_certificate_from_parts_equals_full():
+    """At the branch points, rational points and every [a*lambda + b : 1]
+    with a, b in -3..3, and on direct sums, the certificate read from the
+    parts is the one the full check gives."""
+    for p in CONE_POINTS:
+        m = mf_cone(p)
+        assert m.certificate == fresh_certificate(m)
+        assert m.certificate.ok
+    red = reduce_mf(mf_cone(PointP1(Scalar.of(2), ONE)))
+    for a, b in ((mf_kst(), mf_linear(1)), (red, mf_linear(3).twist(2)),
+                 (KST1, mf_cone(PointP1(LAMBDA, ONE)))):
+        m = direct_sum(a, b)
+        assert m.certificate == fresh_certificate(m)
+        assert m.certificate.ok
+
+
+def _fallback_cases():
+    phi, psi = _chain_maps(-Scalar.of(3), -ONE)
+    bad_kst = MatrixFactorization(_perturbed(KST1.A, 0, 0, Y), KST1.B,
+                                  KST1.f)
+    return {
+        # Homogeneous of the forced degree, so only the block is wrong.
+        "phi-entry": (KST1, KST2, _perturbed(phi, 1, 0, X * Y), psi),
+        # Not homogeneous: fails before any product.
+        "phi-degree": (KST1, KST2, _perturbed(phi, 0, 0, X), psi),
+        # The psi of the cone at [lambda : 1].
+        "swapped-psi": (KST1, KST2, phi, _chain_maps(-LAMBDA, -ONE)[1]),
+        "non-factorization-M": (bad_kst, KST2, phi, psi),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fallback_cases()))
+def test_cone_fallback_lists_the_full_failures(case):
+    m = cone(*_fallback_cases()[case])
+    cert = m.certificate
+    assert not cert.ok and cert.failures
+    assert cert == fresh_certificate(m)
+    assert cert.failures == reference_certificate(m)
+
+
+def test_verified_cone_runs_no_full_compose(monkeypatch):
+    """With the parts' certificates warm a cone forms no 4x4 product; a
+    specialized, pickled or copied cone carries no parts and is checked
+    in full."""
+    shapes = []
+    compose = GradedMatrix.compose
+
+    def counting(self, other):
+        shapes.append((self.nrows, self.ncols, other.ncols))
+        return compose(self, other)
+
+    assert KST1.certificate.ok and KST2.certificate.ok
+    monkeypatch.setattr(GradedMatrix, "compose", counting)
+    for p in CONE_POINTS:
+        assert verify_mf(mf_cone(p)).ok
+    assert direct_sum(KST1, KST2).certificate.ok
+    assert (4, 4, 4) not in shapes
+    m = mf_cone(PointP1(LAMBDA * 2 - 1, ONE))
+    for copied in (m.specialize(Fraction(5, 2)), pickle.loads(pickle.dumps(m)),
+                   copy.deepcopy(m), copy.copy(m)):
+        shapes.clear()
+        assert verify_mf(copied).ok
+        assert shapes == [(4, 4, 4)]
+    assert pickle.loads(pickle.dumps(m)) == m
+
+
+def _dictionary_objects():
+    c = mf_cone(PointP1(Scalar.of(2), ONE))
+    named = ([("kst", mf_kst())]
+             + [(f"linear{i}", mf_linear(i)) for i in range(1, 5)]
+             + [("cone", c), ("reduced-cone", reduce_mf(c))])
+    return [pytest.param(m, id=name) for name, m in named]
+
+
+@pytest.mark.parametrize("m", _dictionary_objects())
+def test_twist_and_syzygy_dictionary(m):
+    """twist(k) translates the Betti table by k and moves (rank, degree)
+    by shift_rd(., -k); the syzygy is suspend_betti on the table, -1 on
+    (rank, degree), and taken twice is the twist by deg f = 4.  Each holds
+    whether the operation comes before or after reduce_mf."""
+    red = reduce_mf(m)
+    betti = betti_of_mf(red)
+    rd = rd_from_betti(betti)
+    assert m.syzygy().syzygy() == m.twist(4)
+    for op, want_betti, want_rd in (
+            [(lambda g, k=k: g.twist(k), translate_betti(betti, -k),
+              shift_rd(rd, -k)) for k in range(-2, 3)]
+            + [(MatrixFactorization.syzygy, suspend_betti(betti),
+                shift_rd(rd, 2))]):
+        for out in (reduce_mf(op(m)), op(red)):
+            assert verify_mf(out).ok
+            assert betti_of_mf(out) == want_betti
+            assert rd_from_betti(betti_of_mf(out)) == want_rd
