@@ -23,9 +23,9 @@ _EXPORTS = {
               "catalog cohom_rank_one cohom_rank_two cohom_via_euler "
               "hilbert indec_count normalize_and_classify rd_from_betti "
               "suspend_betti template_table translate_betti",
-    "mf": "GradedMatrix MatrixFactorization PointP1 betti_of_mf cone "
-          "constants direct_sum lemma63_invariants mf_cone mf_kst mf_linear "
-          "mf_Mp_reduced phi_psi_maps reduce_mf verify_mf",
+    "mf": "KST PHI_PSI GradedMatrix MatrixFactorization PointP1 betti_of_mf "
+          "cone direct_sum lemma63_invariants mf_cone mf_linear "
+          "mf_Mp_reduced reduce_mf verify_mf",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

@@ -88,11 +88,14 @@ def _is_int(v) -> bool:
 # --- serialization --------------------------------------------------------
 
 def scalar_to_coeffs(s: qlambda.Scalar, where: str) -> list[str]:
+    """Output only: a result with a lambda denominator, as `mf reduce` can
+    make from valid input, has no file form, and that fails the command."""
     try:
         coeffs = s.lambda_coeffs()
     except ValueError:
-        raise SchemaError(f"{where}: coefficient is not polynomial "
-                          "in lambda")
+        raise CheckFailed(f"result {where}: coefficient is not polynomial "
+                          "in lambda; the file format cannot hold "
+                          "it") from None
     return [str(c) for c in coeffs]
 
 
@@ -178,8 +181,7 @@ def mf_from_json(obj) -> tuple[mf.MatrixFactorization, Fraction | None]:
     f = poly_from_json(obj["f"], "f", numeric)
     a = gm_from_json(obj["A"], "A", numeric)
     b = gm_from_json(obj["B"], "B", numeric)
-    quartic = mf.constants()[0]
-    if f != (quartic if lam is None else quartic.specialize(lam)):
+    if f != (mf.F if lam is None else mf.F.specialize(lam)):
         raise SchemaError("f: not XY(X-Y)(X-lambda*Y) at the file's lambda")
     return mf.MatrixFactorization(a, b, f), lam
 
@@ -317,7 +319,7 @@ def cmd_class_info(args):
     cl = k0.K0Class(args.a0, (args.a1, args.a2, args.a3, args.a4), args.n)
     r, d, x, mu = k0.invariants(cl)
     info = k0.classify_root(cl)
-    slope = None if mu is None else "inf" if mu == float("inf") else str(mu)
+    slope = str(mu) if mu is not None else "inf" if d else None
     return {"a0": cl.a0, "a": list(cl.a), "n": cl.n, "r": r, "d": d,
             "chi": x, "q": k0.q_form(cl), "root": info.kind.value,
             "slope": slope, "sheaf": info.is_sheaf_class}, _class_info_text
@@ -452,7 +454,7 @@ def _build_mf(args) -> tuple[mf.MatrixFactorization, Fraction | None]:
     if which == "kst":
         if rest:
             raise SchemaError("mf build kst takes no arguments")
-        m = mf.mf_kst()
+        m = mf.KST
     elif which == "linear":
         if len(rest) != 1 or rest[0] not in ("1", "2", "3", "4"):
             raise SchemaError("mf build linear I: I must be 1..4")

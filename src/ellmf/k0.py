@@ -84,12 +84,11 @@ def chi(cl: K0Class) -> int:
     return cl.a0 + cl.n
 
 
-def slope(cl: K0Class):
-    """deg/rk as a reduced Fraction; inf for torsion classes; None if zero-type."""
-    r, d = rank(cl), degree(cl)
-    if r == 0:
-        return None if d == 0 else float("inf")
-    return Fraction(d, r)
+def slope(cl: K0Class) -> Fraction | None:
+    """deg/rk as a reduced Fraction, or None for rank 0: a torsion class
+    (slope infinity) and the zero-type classes alike."""
+    r = rank(cl)
+    return Fraction(degree(cl), r) if r else None
 
 
 def invariants(cl: K0Class):

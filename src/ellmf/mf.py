@@ -29,8 +29,10 @@ from .poly import UNIT, BivariatePoly, X, Y, dot
 from .qlambda import LAMBDA, MINUS_ONE, ONE, ZERO, Scalar
 
 
-# The four ordered linear factors of f and the quarter-derivative cofactors
-# f_x/Y and f_y/X, built once; every constructor below is a product of them.
+# The quartic F, its four ordered linear factors LINEAR, and the
+# quarter-derivatives FX = Y * f_x/Y and FY = X * f_y/X, so that
+# F = X*FX + Y*FY; built once, and every constructor below is a product of
+# them.
 L1, L2 = X, Y
 L3 = X - Y
 L4 = X - Y.scale(LAMBDA)
@@ -46,12 +48,6 @@ FY_OVER_X = BivariatePoly.from_dict({
 FX = Y * FX_OVER_Y
 FY = X * FY_OVER_X
 LINEAR = (L1, L2, L3, L4)
-
-
-def constants():
-    """(f, (l1..l4), f_x, f_y) with f = X f_x + Y f_y and the four ordered
-    linear factors; the same module values on every call."""
-    return F, LINEAR, FX, FY
 
 
 class GradedMatrix(Record):
@@ -119,9 +115,6 @@ class GradedMatrix(Record):
                                      tuple(u + m for u in self.row_twists),
                                      tuple(v + m for v in self.col_twists))
 
-    def specialize(self, value) -> "GradedMatrix":
-        return self._map(_specializer(value))
-
     def _map(self, fn) -> "GradedMatrix":
         """fn applied to every entry, twists kept."""
         return GradedMatrix._trusted(tuple(tuple(map(fn, row))
@@ -142,7 +135,7 @@ class GradedMatrix(Record):
         """Cancel the unit u at (i, j): the (i, j) minor minus
         (column j) * u^-1 * (row i).  Only cells of the minor are formed,
         and a row whose column-j entry is zero is kept as it is."""
-        minus_inv = -self.entries[i][j].as_dict()[(0, 0)].inverse()
+        minus_inv = -self.entries[i][j].terms[0][1].inverse()
         m = self.minor(i, j)
         top = self.entries[i][:j] + self.entries[i][j + 1:]
         col = (row[j] for r, row in enumerate(self.entries) if r != i)
@@ -362,8 +355,8 @@ def mf_linear(i: int) -> MatrixFactorization:
     return MatrixFactorization(A, B, F)
 
 
-# The residue-field factorization, built once from the quarter-derivatives
-# via f = X f_x + Y f_y.
+# The factorization presenting the stable residue field, built once from
+# the quarter-derivatives via f = X f_x + Y f_y.
 KST = MatrixFactorization(
     GradedMatrix(((X, Y), (-FY, FX)), (0, -2), (1, 1)),
     GradedMatrix(((FX, -Y), (FY, X)), (1, 1), (4, 2)), F)
@@ -379,26 +372,13 @@ def _chain_maps(s: Scalar, t: Scalar):
             GradedMatrix(((fy, -c_t), (-fx, c_s)), (3, 3), (5, 3)))
 
 
-# (phi0, psi0, phiinf, psiinf): the pencil at [0 : 1] and at [1 : 0].
+# (phi0, psi0, phiinf, psiinf): the chain maps of the pencil at [0 : 1] and
+# at [1 : 0].  The map at [p0 : p1] is p1*(phi0, psi0) + p0*(phiinf, psiinf),
+# whose cone realizes the degree-two skyscraper there.
 PHI_PSI = (*_chain_maps(ZERO, ONE), *_chain_maps(ONE, ZERO))
 # The parts every cone glues, the suspended KST and its twist; built once,
 # so each is verified once per process.
 KST1, KST2 = KST.twist(1), KST.twist(2)
-
-
-def mf_kst() -> MatrixFactorization:
-    """Factorization presenting the stable residue field; the module value
-    KST on every call."""
-    return KST
-
-
-def phi_psi_maps():
-    """The chain maps (phi0, psi0, phiinf, psiinf) from the suspension of
-    the residue-field factorization to its twist; the map at [p0 : p1] is
-    the pencil p1*(phi0, psi0) + p0*(phiinf, psiinf), whose cone realizes
-    the degree-two skyscraper there.  The module tuple PHI_PSI, computed
-    by the same function as the cone's maps, on every call."""
-    return PHI_PSI
 
 
 def mf_cone(p: PointP1) -> MatrixFactorization:

@@ -15,8 +15,8 @@ from ellmf.k0 import (
     real_roots_bruteforce_box, tensor_omega, twist_by_c,
 )
 from ellmf.mf import (
-    BRANCH_POINTS, PointP1, betti_of_mf, lemma63_invariants, mf_cone,
-    mf_kst, mf_linear, mf_Mp_reduced, reduce_mf, verify_mf,
+    BRANCH_POINTS, KST, PointP1, betti_of_mf, lemma63_invariants, mf_cone,
+    mf_linear, mf_Mp_reduced, reduce_mf, verify_mf,
 )
 from ellmf.qlambda import ONE, Scalar
 from ellmf.shift import (
@@ -196,7 +196,7 @@ def test_criterion_6_lattice_identities():
 
 def test_criterion_7_symbolic_mf():
     t0 = time.monotonic()
-    assert verify_mf(mf_kst()).ok
+    assert verify_mf(KST).ok
     for i in (1, 2, 3, 4):
         assert verify_mf(mf_linear(i)).ok
     assert verify_mf(mf_Mp_reduced(PointP1(Scalar.of(0), ONE))).ok

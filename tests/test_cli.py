@@ -10,7 +10,11 @@ import pytest
 
 from ellmf import cli
 from ellmf.cli import mf_to_json, run
-from ellmf.mf import mf_kst
+from ellmf.mf import (
+    F, KST, GradedMatrix, MatrixFactorization, direct_sum, mf_linear,
+)
+from ellmf.poly import BivariatePoly
+from ellmf.qlambda import LAMBDA
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -247,7 +251,7 @@ def test_slope_word_one_text(capsys):
     (("B", "row_twists", 1), "B.row_twists"),
 ])
 def test_mf_reader_rejects_bool(capsys, tmp_path, slot, where):
-    doc = mf_to_json(mf_kst(), None)
+    doc = mf_to_json(KST, None)
     *outer, last = slot
     holder = doc
     for key in outer:
@@ -319,12 +323,42 @@ def test_mf_betti_rejects_non_factorization(capsys, tmp_path):
         assert captured.err == reduce_err
 
 
+def test_reduce_without_file_form_exit_1(capsys, tmp_path):
+    """mf_linear(1) + (1, f), scrambled by P = [[L-2, L-1], [L-3, L-2]] of
+    determinant 1: A' = P*A and B' = B*P^-1 stay polynomial in lambda, but
+    the only units are L-1 and L-2, so the reduced A is -X/(L-1), which
+    holds at every admissible lambda and has no file form."""
+    def const(a, b):
+        """The constant a + b*lambda."""
+        return BivariatePoly.monomial(0, 0, LAMBDA * b + a)
+
+    trivial = MatrixFactorization(GradedMatrix(((const(1, 0),),), (0,), (0,)),
+                                  GradedMatrix(((F,),), (0,), (4,)), F)
+    m = direct_sum(mf_linear(1), trivial)
+    p = GradedMatrix(((const(-2, 1), const(-1, 1)),
+                      (const(-3, 1), const(-2, 1))), (0, 0), (0, 0))
+    p_inv = GradedMatrix(((const(-2, 1), const(1, -1)),
+                          (const(3, -1), const(-2, 1))), (4, 4), (4, 4))
+    scrambled = MatrixFactorization(p.compose(m.A), m.B.compose(p_inv), F)
+    path = tmp_path / "scrambled.json"
+    path.write_text(json.dumps(mf_to_json(scrambled, None)))
+    assert run(["mf", "verify", str(path)]) == 0
+    capsys.readouterr()
+    for fmt in ("text", "json"):
+        assert run(["mf", "reduce", str(path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: result A.rows[0][0]: coefficient is not polynomial in "
+            "lambda; the file format cannot hold it\n")
+
+
 def test_bad_input_exit_2(capsys, tmp_path):
     assert run(["roots", "--m-max", "-1"]) == 2
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe")
     assert run(["classify-betti", str(path)]) == 2
-    doc = mf_to_json(mf_kst(), None)
+    doc = mf_to_json(KST, None)
     doc["A"]["rows"] = [5, 6]
     path.write_text(json.dumps(doc))
     assert run(["mf", "verify", str(path)]) == 2
@@ -334,7 +368,7 @@ def test_bad_input_exit_2(capsys, tmp_path):
 
 def test_lambda_refused_on_file_actions(capsys, tmp_path):
     path = tmp_path / "kst.json"
-    path.write_text(json.dumps(mf_to_json(mf_kst(), None)))
+    path.write_text(json.dumps(mf_to_json(KST, None)))
     for action in ("verify", "reduce", "betti"):
         assert run(["mf", action, str(path), "--lambda", "foo"]) == 2
         assert "--lambda" in capsys.readouterr().err
@@ -354,7 +388,7 @@ def ellmf_process(argv, **kwargs):
 
 
 def test_closed_stdout_keeps_exit_code(tmp_path):
-    doc = mf_to_json(mf_kst(), None)
+    doc = mf_to_json(KST, None)
     (tmp_path / "kst.json").write_text(json.dumps(doc))
     doc["A"]["rows"][0][0][0]["c"] = ["2"]
     (tmp_path / "broken.json").write_text(json.dumps(doc))
@@ -401,7 +435,7 @@ def test_oversized_input_exit_2(tmp_path):
 def test_huge_defect_prints_without_traceback(tmp_path):
     """A*B entries with coefficients past the int-to-str digit limit: the
     defect prints as a placeholder, exit 1 as for any failed check."""
-    doc = mf_to_json(mf_kst(), None)
+    doc = mf_to_json(KST, None)
     big = str(10 ** 2999 + 7)
     for term in doc["A"]["rows"][0][0] + doc["B"]["rows"][0][1]:
         term["c"] = [big]

@@ -64,7 +64,7 @@ MATRIX = [
 def make_inputs() -> dict[str, str]:
     """Input files of the matrix, as the text written to each."""
     cone = mf.mf_cone(mf.PointP1(1, 1))
-    broken = mf_to_json(mf.mf_kst(), None)
+    broken = mf_to_json(mf.KST, None)
     broken["A"]["rows"][0][0][0]["c"] = ["2"]
 
     def table(d):

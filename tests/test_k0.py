@@ -35,7 +35,7 @@ def test_structure_sheaf_invariants():
 
 
 def test_delta_and_simples():
-    assert invariants(DELTA) == (0, 2, 1, float("inf"))
+    assert invariants(DELTA) == (0, 2, 1, None)
     for i in (1, 2, 3, 4):
         assert (rank(simple_class(i, 1)), degree(simple_class(i, 1))) == (0, 1)
         assert (rank(simple_class(i, 0)), degree(simple_class(i, 0))) == (0, 1)
@@ -50,7 +50,8 @@ def test_omega_class():
 
 def test_slope_degenerate():
     assert slope(K0Class(0, (0, 0, 0, 0), 0)) is None
-    assert slope(K0Class(0, (1, 0, 0, 0), 0)) == float("inf")
+    assert slope(K0Class(0, (1, 0, 0, 0), 0)) is None
+    assert slope(K0Class(-2, (1, 0, 0, 0), 0)) == Fraction(-1, 2)
 
 
 def test_tensor_omega_involution():

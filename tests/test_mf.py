@@ -12,10 +12,10 @@ except ImportError:       # test-only dependency; the property test skips
     st = None
 
 from ellmf.mf import (
-    BRANCH_POINTS, KST1, KST2, GradedMatrix, MatrixFactorization, PointP1,
-    _chain_maps, _find_scalar, betti_of_mf, cone, constants, direct_sum,
-    is_minimal, lemma63_invariants, mf_cone, mf_kst, mf_linear,
-    mf_Mp_reduced, phi_psi_maps, reduce_mf, verify_mf,
+    BRANCH_POINTS, F, FX, FY, KST, KST1, KST2, LINEAR, PHI_PSI, GradedMatrix,
+    MatrixFactorization, PointP1, _chain_maps, _find_scalar, betti_of_mf,
+    cone, direct_sum, is_minimal, lemma63_invariants, mf_cone, mf_linear,
+    mf_Mp_reduced, reduce_mf, verify_mf,
 )
 from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar
@@ -50,30 +50,20 @@ def quarter_cofactors():
 
 
 def test_constants_identities():
-    f, lin, fx, fy = constants()
     lam = LAMBDA
-    assert f == X * Y * (X - Y) * (X - Y.scale(lam))
-    assert lin[0] * lin[1] * lin[2] * lin[3] == f
-    assert X * fx + Y * fy == f
-    assert fx.scale(4) == partial(f, 0) and fy.scale(4) == partial(f, 1)
+    assert F == X * Y * (X - Y) * (X - Y.scale(lam))
+    assert LINEAR[0] * LINEAR[1] * LINEAR[2] * LINEAR[3] == F
+    assert X * FX + Y * FY == F
+    assert FX.scale(4) == partial(F, 0) and FY.scale(4) == partial(F, 1)
     fx_over_y, fy_over_x = quarter_cofactors()
-    assert fx == Y * fx_over_y and fy == X * fy_over_x
-    phi0, _, phiinf, _ = phi_psi_maps()
+    assert FX == Y * fx_over_y and FY == X * fy_over_x
+    phi0, _, phiinf, _ = PHI_PSI
     assert phi0.entry(1, 1) == -fy_over_x
     assert phiinf.entry(1, 0) == fx_over_y
-    assert f.is_homogeneous_of(4)
+    assert F.is_homogeneous_of(4)
 
 
-def test_constants_built_once():
-    first, second = constants(), constants()
-    assert all(a is b for a, b in zip(first, second))
-    assert all(a is b for a, b in zip(first[1], second[1]))
-
-
-def test_kst_and_chain_maps_built_once():
-    assert mf_kst() is mf_kst()
-    first, second = phi_psi_maps(), phi_psi_maps()
-    assert len(first) == 4 and all(a is b for a, b in zip(first, second))
+def test_branch_point_cones_verify():
     for p in BRANCH_POINTS:
         assert verify_mf(mf_cone(p)).ok
 
@@ -83,15 +73,14 @@ def test_mf_linear():
         m = mf_linear(i)
         assert verify_mf(m).ok
         assert betti_of_mf(m).as_dict() == {(0, 0): 1, (1, 1): 1}
-    f, lin, _, _ = constants()
     for i in (1, 2, 3, 4):
-        assert mf_linear(i).B.entry(0, 0) * lin[i - 1] == f
+        assert mf_linear(i).B.entry(0, 0) * LINEAR[i - 1] == F
     with pytest.raises(ValueError):
         mf_linear(5)
 
 
 def test_mf_kst():
-    m = mf_kst()
+    m = KST
     assert verify_mf(m).ok
     assert m.A.entry(1, 0).is_homogeneous_of(3)
     assert betti_of_mf(m).as_dict() == {(0, 0): 1, (0, -2): 1, (1, 1): 2}
@@ -100,8 +89,8 @@ def test_mf_kst():
 
 
 def test_phi_psi_chain_maps():
-    base = mf_kst()
-    for phi, psi in (phi_psi_maps()[:2], phi_psi_maps()[2:]):
+    base = KST
+    for phi, psi in (PHI_PSI[:2], PHI_PSI[2:]):
         lhs = base.A.twist(2).compose(psi)
         rhs = phi.compose(base.B.twist(1))
         for i in range(2):
@@ -119,9 +108,9 @@ def test_phi_psi_entries_pinned():
     one, z = BivariatePoly.monomial(0, 0), BivariatePoly.zero()
     want = (((z, one), (z, -fyx)), ((-fyx, -one), (z, z)),
             ((one, z), (fxy, z)), ((z, z), (-fxy, one)))
-    for got, entries in zip(phi_psi_maps(), want):
+    for got, entries in zip(PHI_PSI, want):
         assert got.entries == entries
-    for phi, psi in (phi_psi_maps()[:2], phi_psi_maps()[2:]):
+    for phi, psi in (PHI_PSI[:2], PHI_PSI[2:]):
         assert (phi.row_twists, phi.col_twists) == ((2, 0), (2, 2))
         assert (psi.row_twists, psi.col_twists) == ((3, 3), (5, 3))
 
@@ -137,7 +126,7 @@ def negated(g):
 def test_cone_glues_along_the_pencil():
     """The lower-left blocks of mf_cone([p0 : p1]) are
     -(p1*phi0 + p0*phiinf) and -(p1*psi0 + p0*psiinf)."""
-    phi0, psi0, phiinf, psiinf = phi_psi_maps()
+    phi0, psi0, phiinf, psiinf = PHI_PSI
     pts = sample_points(12) + [PointP1(LAMBDA * a + b, ONE)
                                for a in (-2, 1, 3) for b in (-1, 0, 5)]
     for p in pts:
@@ -187,7 +176,7 @@ def test_point_canonical_form():
 
 
 def test_verify_catches_defects():
-    m = mf_kst()
+    m = KST
     a = [list(row) for row in m.A.entries]
     a[1][0] = -a[1][0]
     bad = MatrixFactorization(
@@ -200,16 +189,15 @@ def test_verify_catches_defects():
 
 def test_verify_lists_perturbed_kst_defects():
     """A(0, 0) = X + Y instead of X: the exact defect of each product."""
-    m = mf_kst()
-    _, _, fx, fy = constants()
+    m = KST
     a = [list(row) for row in m.A.entries]
     a[0][0] = X + Y
     bad = MatrixFactorization(
         GradedMatrix(a, m.A.row_twists, m.A.col_twists), m.B, m.f)
     cert = verify_mf(bad)
     assert not cert.ok
-    assert cert.failures == (("A*B", 0, 0, Y * fx), ("A*B", 0, 1, -(Y * Y)),
-                             ("B*A", 0, 0, Y * fx), ("B*A", 1, 0, Y * fy))
+    assert cert.failures == (("A*B", 0, 0, Y * FX), ("A*B", 0, 1, -(Y * Y)),
+                             ("B*A", 0, 0, Y * FX), ("B*A", 1, 0, Y * FY))
 
 
 def reference_certificate(m):
@@ -243,10 +231,9 @@ def reference_certificate(m):
 
 def _rectangular():
     """A = (X Y), B = (f_x; f_y): A*B = f, but B*A is not f*I."""
-    f, _, fx, fy = constants()
     return MatrixFactorization(GradedMatrix(((X, Y),), (0,), (1, 1)),
-                               GradedMatrix(((fx,), (fy,)), (1, 1), (4,)),
-                               f)
+                               GradedMatrix(((FX,), (FY,)), (1, 1), (4,)),
+                               F)
 
 
 def _perturbed(g, i, j, delta):
@@ -273,7 +260,7 @@ def test_certificate_matches_two_product_reference():
               PointP1(Scalar.of(Fraction(-5, 3)), ONE),
               PointP1(Scalar.of(2), ONE)]
     cones = [mf_cone(p) for p in points]
-    bases = ([mf_kst(), _rectangular()] + [mf_linear(i) for i in range(1, 5)]
+    bases = ([KST, _rectangular()] + [mf_linear(i) for i in range(1, 5)]
              + cones + [reduce_mf(c) for c in cones]
              + [cones[-1].specialize(Fraction(7, 2))])
     for m in bases:
@@ -306,32 +293,30 @@ def test_certificate_matches_two_product_reference():
 
 def test_rectangular_fails_on_b_times_a():
     m = _rectangular()
-    f, _, fx, fy = constants()
-    assert m.A.compose(m.B).entries == ((f,),)
+    assert m.A.compose(m.B).entries == ((F,),)
     cert = verify_mf(m)
     assert not cert.ok
     assert cert.failures == reference_certificate(m) == (
-        ("B*A", 0, 0, fx * X - f), ("B*A", 0, 1, fx * Y),
-        ("B*A", 1, 0, fy * X), ("B*A", 1, 1, fy * Y - f))
+        ("B*A", 0, 0, FX * X - F), ("B*A", 0, 1, FX * Y),
+        ("B*A", 1, 0, FY * X), ("B*A", 1, 1, FY * Y - F))
 
 
 def test_empty_inner_dimension_fails_verification():
     """A product over an inner dimension of 0 is a zero matrix of the
     outer shape, so a 1x0 and a 0x1 matrix never factor f."""
-    f = constants()[0]
     zero = BivariatePoly.zero()
     row, col = GradedMatrix(((),), (0,), ()), GradedMatrix((), (), (4,))
     assert row.compose(col) == GradedMatrix(((zero,),), (0,), (4,))
     assert col.compose(row.twist(4)) == GradedMatrix((), (), ())
-    m = MatrixFactorization(row, col, f)
-    assert verify_mf(m).failures == (("A*B", 0, 0, -f),)
+    m = MatrixFactorization(row, col, F)
+    assert verify_mf(m).failures == (("A*B", 0, 0, -F),)
     flat = MatrixFactorization(GradedMatrix((), (), (0,)),
-                               GradedMatrix(((),), (0,), ()), f)
-    assert verify_mf(flat).failures == (("B*A", 0, 0, -f),)
+                               GradedMatrix(((),), (0,), ()), F)
+    assert verify_mf(flat).failures == (("B*A", 0, 0, -F),)
 
 
 def test_minor_index_out_of_range():
-    g = mf_kst().A
+    g = KST.A
     for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
         with pytest.raises(IndexError):
             g.minor(i, j)
@@ -406,7 +391,7 @@ def test_compose_matches_naive_sum_of_products():
                 assert hash(e) == hash(naive)
                 assert all(c for _, c in e.terms)
     # Every term of an off-diagonal entry of A*B cancels.
-    m = mf_kst()
+    m = KST
     prod = m.A.compose(m.B)
     assert prod.entries == ((m.f, BivariatePoly.zero()),
                             (BivariatePoly.zero(), m.f))
@@ -565,13 +550,12 @@ def test_reduce_is_identity_on_minimal():
 
 
 def test_reduce_strips_trivial_summand():
-    f, lin, _, _ = constants()
     one = BivariatePoly.monomial(0, 0)
     z = BivariatePoly.zero()
     base = mf_linear(1)
     a = GradedMatrix(((base.A.entry(0, 0), z), (z, one)), (0, 0), (1, 0))
-    b = GradedMatrix(((base.B.entry(0, 0), z), (z, f)), (1, 0), (4, 4))
-    m = MatrixFactorization(a, b, f)
+    b = GradedMatrix(((base.B.entry(0, 0), z), (z, F)), (1, 0), (4, 4))
+    m = MatrixFactorization(a, b, F)
     assert verify_mf(m).ok
     red = reduce_mf(m)
     assert red.A.entries == base.A.entries
@@ -661,7 +645,7 @@ def test_betti_requires_minimal():
 
 
 def test_reduce_rejects_broken_input():
-    m = mf_kst()
+    m = KST
     bad = MatrixFactorization(m.A, m.A.twist(1), m.f)
     with pytest.raises(ValueError):
         reduce_mf(bad)
@@ -669,7 +653,7 @@ def test_reduce_rejects_broken_input():
 
 def test_specialization_commutes():
     lam = Fraction(2)
-    for build in (mf_kst, lambda: mf_linear(3),
+    for build in (lambda: KST, lambda: mf_linear(3),
                   lambda: mf_cone(PointP1(ONE, ONE)),
                   lambda: mf_Mp_reduced(PointP1(Scalar.of(3), ONE))):
         m = build()
@@ -714,7 +698,7 @@ def test_cone_certificate_from_parts_equals_full():
         assert m.certificate == fresh_certificate(m)
         assert m.certificate.ok
     red = reduce_mf(mf_cone(PointP1(Scalar.of(2), ONE)))
-    for a, b in ((mf_kst(), mf_linear(1)), (red, mf_linear(3).twist(2)),
+    for a, b in ((KST, mf_linear(1)), (red, mf_linear(3).twist(2)),
                  (KST1, mf_cone(PointP1(LAMBDA, ONE)))):
         m = direct_sum(a, b)
         assert m.certificate == fresh_certificate(m)
@@ -773,7 +757,7 @@ def test_verified_cone_runs_no_full_compose(monkeypatch):
 
 def _dictionary_objects():
     c = mf_cone(PointP1(Scalar.of(2), ONE))
-    named = ([("kst", mf_kst())]
+    named = ([("kst", KST)]
              + [(f"linear{i}", mf_linear(i)) for i in range(1, 5)]
              + [("cone", c), ("reduced-cone", reduce_mf(c))])
     return [pytest.param(m, id=name) for name, m in named]

@@ -387,6 +387,16 @@ def test_catalog_round_trip():
         assert (r, d) != (0, 0)
 
 
+# The kind of a class's suspension; the params are kept.
+SUSPENSION_PARTNER = {
+    "I": "I", "II": "III", "III": "II", "IV": "V", "V": "IV",
+    "first-kind-odd-a": "first-kind-odd-b",
+    "first-kind-odd-b": "first-kind-odd-a",
+    "first-kind-even-a": "first-kind-even-b",
+    "first-kind-even-b": "first-kind-even-a",
+}
+
+
 def test_catalog_closure_under_suspension():
     for c, t in catalog(3, 3, 5):
         sus = suspend_betti(t)
@@ -397,6 +407,8 @@ def test_catalog_closure_under_suspension():
         assert (r1, d1) == (-r0, -d0)
         assert (got.kind, got.params) in {(cc.kind, cc.params)
                                           for cc, _ in catalog(5, 5, 7)}
+        assert (got.kind, got.params) == (SUSPENSION_PARTNER[c.kind],
+                                          c.params), c
 
 
 def test_indec_counts():
