@@ -130,7 +130,7 @@ def poly_from_json(obj, where: str, numeric: bool) -> poly.BivariatePoly:
         if (i, j) in terms:
             raise SchemaError(f"{path}: duplicate monomial")
         terms[(i, j)] = Scalar(vals)
-    return BivariatePoly.from_dict(terms)
+    return BivariatePoly(terms.items())
 
 
 def gm_to_json(g: mf.GradedMatrix, where: str):
@@ -210,7 +210,7 @@ def betti_from_json(obj) -> tables.BettiTable:
         if (i, j) in d:
             raise SchemaError(f"{path}: duplicate entry")
         d[(i, j)] = v
-    return tables.BettiTable.from_dict(d)
+    return tables.BettiTable(d)
 
 
 def _read_json(path: str):

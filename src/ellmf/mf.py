@@ -11,12 +11,16 @@ gives det A * det B = f^n != 0, so B = f*A^-1 over the fraction field and
 B*A = f*I follows.  Each factorization caches its certificate, so checking
 the same object twice composes once.
 
-A cone built by cone(M, N, phi, psi) is checked from its parts: when M
-and N share f, pass verification and are square, and phi and psi are
-homogeneous, its A*B is f*I in both diagonal blocks and 0 in the upper
-right one, so only the lower left block phi*B_M + A_N*psi is formed, and
-B*A is skipped as above.  In every other case, and on any copy of the cone
-(specialized, pickled or rebuilt from its fields), the full check runs.
+A cone built by cone(M, N, phi, psi), as every mf_cone and direct_sum is,
+is checked from its parts when M and N share f, pass verification (by
+their cached certificates) and are square, and phi and psi are
+homogeneous: then its A*B is f*I in both diagonal blocks and 0 in the
+upper right one, so only the lower left block phi*B_M + A_N*psi, which is
+0 exactly when (phi, psi) is a chain map, is formed, and B*A is skipped
+as above.  The parts are kept outside the fields, so they take no part in
+==, hash, repr or pickling.  In every other case, and on any copy of the
+cone (specialized, pickled or rebuilt from its fields), the full check
+runs and lists the same failures.
 """
 from __future__ import annotations
 
@@ -30,8 +34,9 @@ from .qlambda import LAMBDA, MINUS_ONE, ONE, ZERO, Scalar
 
 
 # The quartic F, its four ordered linear factors LINEAR, and the
-# quarter-derivatives FX = Y * f_x/Y and FY = X * f_y/X, so that
-# F = X*FX + Y*FY; built once, and every constructor below is a product of
+# quarter-derivatives FX = f_x/4 and FY = f_y/4, so that F = X*FX + Y*FY,
+# whose cofactors f_x/Y and f_y/X follow from the product rule on
+# F = L1*L2*L3*L4; built once, and every constructor below is a product of
 # them.
 L1, L2 = X, Y
 L3 = X - Y
@@ -39,12 +44,8 @@ L4 = X - Y.scale(LAMBDA)
 L34 = L3 * L4
 F = L1 * L2 * L34
 _QUARTER = Scalar.of(Fraction(1, 4))
-FX_OVER_Y = BivariatePoly.from_dict({
-    (2, 0): _QUARTER * 3, (1, 1): _QUARTER * (-2) * (ONE + LAMBDA),
-    (0, 2): _QUARTER * LAMBDA})
-FY_OVER_X = BivariatePoly.from_dict({
-    (2, 0): _QUARTER, (1, 1): _QUARTER * (-2) * (ONE + LAMBDA),
-    (0, 2): _QUARTER * 3 * LAMBDA})
+FX_OVER_Y = (L34 + X * (L3 + L4)).scale(_QUARTER)
+FY_OVER_X = (L34 - Y * (L4 + L3.scale(LAMBDA))).scale(_QUARTER)
 FX = Y * FX_OVER_Y
 FY = X * FY_OVER_X
 LINEAR = (L1, L2, L3, L4)
@@ -180,19 +181,21 @@ def _specializer(value):
 
 class Certificate(Record):
     """Outcome of verify_mf; failures are (label, i, j, defect), each
-    printed by failure_text."""
+    printed by failure_text, and ok means there are none."""
 
-    __slots__ = ("ok", "failures")
+    __slots__ = ("failures",)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
     and every field under it are immutable, so its certificate (see
     verify_mf) depends on its value alone: it is computed on first use and
-    cached on this object, and lives as long as the object does.  A cone
-    (see cone) keeps its parts beside that cache, outside the fields, so
-    they take no part in ==, hash, repr or pickling.  specialize builds a
-    new object, without parts, which is checked afresh and in full."""
+    cached on this object, and lives as long as the object does.  For a
+    cone's certificate, see the module docstring."""
 
     __slots__ = ("A", "B", "f", "__dict__")
 
@@ -215,13 +218,12 @@ class MatrixFactorization(Record):
         return MatrixFactorization(self.B, self.A.twist(deg), self.f)
 
     @cached_property
-    def certificate(self) -> Certificate:
-        """The Certificate of verify_mf, computed on first use: from the
-        parts of a cone when they suffice, else in full (see the module
-        docstring)."""
+    def _certificate(self) -> Certificate:
+        """The Certificate of verify_mf, computed on first use (for a
+        cone, see the module docstring)."""
         parts = self.__dict__.get("_parts")
         if parts is not None and _parts_certify(*parts):
-            return Certificate(True, ())
+            return Certificate(())
         fails = []
         A, B, f = self.A, self.B, self.f
         deg = f.total_degree()
@@ -236,22 +238,20 @@ class MatrixFactorization(Record):
             for i, j in g.homogeneity_defects():
                 fails.append((f"{label}-homogeneity", i, j, g.entry(i, j)))
         if fails:
-            return Certificate(False, tuple(fails))
+            return Certificate(tuple(fails))
         _product_defects("A*B", A.compose(B), f, fails)
         if fails or A.nrows != A.ncols:
             # For B*A the source copy of the factorization is twisted one
             # period down, hence the shift by deg f.
             _product_defects("B*A", B.compose(A.twist(deg)), f, fails)
-        return Certificate(not fails, tuple(fails))
+        return Certificate(tuple(fails))
 
 
 def cone(M: MatrixFactorization, N: MatrixFactorization, phi: GradedMatrix,
          psi: GradedMatrix) -> MatrixFactorization:
     """The factorization ([[A_M, 0], [phi, A_N]], [[B_M, 0], [psi, B_N]])
-    of M's f.  Its A*B is f*I exactly when M and N factor f and
-    phi*B_M + A_N*psi = 0, that is when (phi, psi) is a chain map; the
-    certificate checks that block alone when it can (see the module
-    docstring).  Raises ValueError if a map's twists do not fit."""
+    of M's f, verified from its parts (see the module docstring).  Raises
+    ValueError if a map's twists do not fit."""
     c = MatrixFactorization(block_lower(M.A, phi, N.A),
                             block_lower(M.B, psi, N.B), M.f)
     c.__dict__["_parts"] = (M, N, phi, psi)
@@ -272,11 +272,11 @@ def _zeros(row_twists, col_twists) -> GradedMatrix:
 
 
 def _parts_certify(M, N, phi, psi) -> bool:
-    """Whether the cone of these parts verifies by the block phi*B_M +
-    A_N*psi alone; each part's certificate is its cached one."""
+    """Whether the cone of these parts verifies by its chain-map block
+    alone (see the module docstring)."""
     if M.f != N.f or M.A.nrows != M.A.ncols or N.A.nrows != N.A.ncols:
         return False
-    if not (M.certificate.ok and N.certificate.ok):
+    if not (M._certificate.ok and N._certificate.ok):
         return False
     if phi.homogeneity_defects() or psi.homogeneity_defects():
         return False
@@ -336,12 +336,9 @@ class PointP1(Record):
 def verify_mf(m: MatrixFactorization) -> Certificate:
     """The certificate of m: both product identities, twist bookkeeping
     and homogeneity, every defect collected instead of raised.  It is
-    computed once per object (MatrixFactorization.certificate), and B*A
-    only when A*B has a defect or A is not square.  A cone built by cone()
-    whose parts verify forms only its chain-map block; otherwise, and on
-    a specialized or rebuilt copy, the full check runs and lists the same
-    failures (see the module docstring)."""
-    return m.certificate
+    computed once per object and cached there; for which products are
+    formed, and for cones, see the module docstring."""
+    return m._certificate
 
 
 def mf_linear(i: int) -> MatrixFactorization:
@@ -452,7 +449,7 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     On other input a pivot that depends on lambda can vanish at an
     admissible value, so there the result holds for generic lambda.
     """
-    cert = m.certificate
+    cert = m._certificate
     if not cert.ok:
         raise ValueError("input fails verification: "
                          + failure_text(*cert.failures[0]))
@@ -479,7 +476,7 @@ def betti_of_mf(m: MatrixFactorization) -> BettiTable:
         d[(0, u)] = d.get((0, u), 0) + 1
     for v in m.A.col_twists:
         d[(1, v)] = d.get((1, v), 0) + 1
-    return BettiTable.from_dict(d)
+    return BettiTable(d)
 
 
 BRANCH_POINTS = (PointP1(Scalar.of(0), ONE), PointP1(ONE, Scalar.of(0)),
@@ -494,10 +491,8 @@ def lemma63_invariants(i: int) -> BranchReport:
     """(rank, degree) bookkeeping for the degree-two skyscraper at the i-th
     branch point against its two length-one pieces."""
     from .tables import rd_from_betti
-    if i not in (1, 2, 3, 4):
-        raise ValueError("index must be 1..4")
-    mp = betti_of_mf(mf_Mp_reduced(BRANCH_POINTS[i - 1]))
     m = mf_linear(i)
+    mp = betti_of_mf(mf_Mp_reduced(BRANCH_POINTS[i - 1]))
     sub = betti_of_mf(m.twist(1))
     quot = betti_of_mf(m.syzygy().twist(-1))
     mp_rd = rd_from_betti(mp)

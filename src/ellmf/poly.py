@@ -3,14 +3,10 @@
 A polynomial is a sorted tuple of (exponents, nonzero Scalar) terms.  The
 public constructor merges and sorts outside input; arithmetic results are
 already canonical and skip it.  Every sum and product, `+`, `-`, `*` and
-`scale` included, is one sum of products, `dot`.  When every coefficient
-has an integer constant denominator, as at a numeric parameter and in most
-symbolic work, dot adds each term product straight into its monomial's
-integer numerator over a running integer denominator, kept at the lcm by
-qlambda's _rescale, and makes each coefficient canonical once, through
-qlambda's _canon.  A coefficient with a parameter-dependent denominator
-sends the whole sum down the general path: term products grouped by
-monomial, one qlambda.dot per monomial.
+`scale` included, is one sum of products, `dot`: one pass over integer
+accumulators when every coefficient has an integer denominator, as at a
+numeric parameter and in most symbolic work, else one qlambda.dot per
+monomial.
 """
 from __future__ import annotations
 
@@ -45,19 +41,12 @@ class BivariatePoly(Record):
         return p
 
     @classmethod
-    def from_dict(cls, d) -> "BivariatePoly":
-        return cls(tuple(d.items()))
-
-    @classmethod
     def zero(cls) -> "BivariatePoly":
         return cls(())
 
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BivariatePoly":
         return cls((((i, j), Scalar.of(c)),))
-
-    def as_dict(self):
-        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -211,8 +200,6 @@ def _dot_by_monomial(pairs) -> BivariatePoly:
 
 def _scalar_str(c: Scalar) -> str:
     def side(p):
-        if not p:
-            return "0"
         bits = []
         for k, v in enumerate(p):
             if v:

@@ -10,10 +10,7 @@ Every sum and product, `+`, `-` and `*` included, is one sum of products,
 `dot`: the products accumulate into one integer coefficient list over one
 common denominator, which _canon makes canonical once at the end.  The
 polynomial gcd (a primitive pseudo-remainder sequence) runs only when that
-denominator depends on the parameter.  poly.dot accumulates polynomial
-products over integer denominators in the same integer form and ends in
-the same _canon; it calls dot only for coefficients with
-parameter-dependent denominators.  specialize evaluates N and D in
+denominator depends on the parameter.  specialize evaluates N and D in
 integers alone.  The public num/den, as Fraction tuples with a monic den,
 are derived from N/D on demand.
 

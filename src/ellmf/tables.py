@@ -58,13 +58,20 @@ class CohomTable(Record):
 
 class BettiTable(Record):
     """Finitely supported (i, j) -> count with i in {0, 1}, representing the
-    complete table modulo the period-(2, 4) repetition."""
+    complete table modulo the period-(2, 4) repetition.  Built from a
+    mapping (i, j) -> count or from ((i, j), count) pairs, in which a
+    repeated cell is refused; zero counts are dropped."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[tuple[int, int], int], ...]):
+    def __init__(self, entries):
+        pairs = tuple(entries.items() if hasattr(entries, "items")
+                      else entries)
+        cells = dict(pairs)
+        if len(cells) != len(pairs):
+            raise TableError("repeated cell")
         items = []
-        for (i, j), v in dict(entries).items():
+        for (i, j), v in cells.items():
             if type(i) is not int or type(j) is not int or type(v) is not int:
                 raise TableError("indices and Betti numbers must be integers")
             if v:
@@ -75,10 +82,6 @@ class BettiTable(Record):
                 items.append(((i, j), v))
         items.sort()
         object.__setattr__(self, "entries", tuple(items))
-
-    @classmethod
-    def from_dict(cls, d) -> "BettiTable":
-        return cls(tuple(d.items()))
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
@@ -95,7 +98,7 @@ class BettiTable(Record):
 
 def translate_betti(t: BettiTable, m: int) -> BettiTable:
     """Betti table of the internal shift by m: output(i, j) = input(i, j + m)."""
-    return BettiTable.from_dict({(i, j - m): v for (i, j), v in t.entries})
+    return BettiTable({(i, j - m): v for (i, j), v in t.entries})
 
 
 def suspend_betti(t: BettiTable) -> BettiTable:
@@ -107,7 +110,7 @@ def suspend_betti(t: BettiTable) -> BettiTable:
             out[(0, j)] = out.get((0, j), 0) + v
         else:
             out[(1, j + 4)] = out.get((1, j + 4), 0) + v
-    return BettiTable.from_dict(out)
+    return BettiTable(out)
 
 
 def betti_from_cohom(t: CohomTable) -> BettiTable:
@@ -116,7 +119,7 @@ def betti_from_cohom(t: CohomTable) -> BettiTable:
     for k, (left, right) in enumerate(t.rows):
         d[(0, k)] = left
         d[(1, k + 2)] = right
-    return BettiTable.from_dict(d)
+    return BettiTable(d)
 
 
 def _table(p: tuple[int, int], h: int, hw: int) -> CohomTable:
@@ -263,7 +266,7 @@ def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
         # Suspension of the even-A shape; forced by rank/degree recovery.
         FIRST_KIND_EVEN_B: {(0, 0): r, (0, 1): 1, (1, 1): 1, (1, 2): r},
     }[kind]
-    return BettiTable.from_dict(d)
+    return BettiTable(d)
 
 
 def normalize_and_classify(t: BettiTable) -> BettiClass:
@@ -319,16 +322,14 @@ def _signed_sums(t: BettiTable) -> dict[int, int]:
 
 
 def rd_from_betti(t: BettiTable) -> tuple[int, int]:
-    """Rank and degree from the signed Betti sums, folded mod 4 over one
-    period of the complete resolution."""
+    """Rank and degree from the signed Betti sums s_k, folded mod 4 over
+    one period of the complete resolution: d = s_0 - s_2 and
+    2r = (s_1 + s_2) - (s_0 + s_3), where the s_k total 0, so
+    r = s_1 + s_2."""
     s = [0, 0, 0, 0]
     for j, v in _signed_sums(t).items():
         s[j % 4] += v
-    d = s[0] - s[2]
-    twice_r = (s[1] + s[2]) - (s[0] + s[3])
-    if twice_r % 2 != 0:
-        raise TableError("inconsistent table: odd rank numerator")
-    return twice_r // 2, d
+    return s[1] + s[2], s[0] - s[2]
 
 
 class IndecCount(Record):

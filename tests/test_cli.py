@@ -366,6 +366,23 @@ def test_bad_input_exit_2(capsys, tmp_path):
     assert err.count("error:") == 3 and "A.rows" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("build kst 1", "mf build kst takes no arguments"),
+    ("build linear 5", "mf build linear I: I must be 1..4"),
+    ("build conic 1 1", "unknown factorization 'conic'"),
+    ("build cone 1", "mf build cone: expected 2 point coordinates"),
+    ("build cone 0 0", "point: (0, 0) is not a projective point"),
+    ("verify A B", "mf verify: expected exactly one FILE"),
+    ("verify FILE --lambda 2",
+     "mf verify: --lambda applies to build only; the file states its lambda"),
+    ("build kst --lambda 0", "--lambda: must avoid 0 and 1"),
+])
+def test_mf_argument_errors_exit_2(capsys, argv, message):
+    code = run(["mf", *argv.split()])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_lambda_refused_on_file_actions(capsys, tmp_path):
     path = tmp_path / "kst.json"
     path.write_text(json.dumps(mf_to_json(KST, None)))

@@ -68,7 +68,7 @@ def make_inputs() -> dict[str, str]:
     broken["A"]["rows"][0][0][0]["c"] = ["2"]
 
     def table(d):
-        return json.dumps(betti_to_json(tables.BettiTable.from_dict(d)))
+        return json.dumps(betti_to_json(tables.BettiTable(d)))
 
     return {
         "cone": json.dumps(mf_to_json(cone, None)),

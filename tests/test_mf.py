@@ -13,9 +13,9 @@ except ImportError:       # test-only dependency; the property test skips
 
 from ellmf.mf import (
     BRANCH_POINTS, F, FX, FY, KST, KST1, KST2, LINEAR, PHI_PSI, GradedMatrix,
-    MatrixFactorization, PointP1, _chain_maps, _find_scalar, betti_of_mf,
-    cone, direct_sum, is_minimal, lemma63_invariants, mf_cone, mf_linear,
-    mf_Mp_reduced, reduce_mf, verify_mf,
+    MatrixFactorization, PointP1, _chain_maps, _find_scalar, _zeros,
+    betti_of_mf, cone, direct_sum, is_minimal, lemma63_invariants, mf_cone,
+    mf_linear, mf_Mp_reduced, reduce_mf, verify_mf,
 )
 from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar
@@ -34,9 +34,9 @@ def sample_points(count, seed=71):
 
 def partial(p, var):
     """d/dX (var 0) or d/dY (var 1) of p, term by term."""
-    return BivariatePoly.from_dict({
-        (i - (var == 0), j - (var == 1)): c * Scalar.of((i, j)[var])
-        for (i, j), c in p.terms if (i, j)[var]})
+    return BivariatePoly(
+        ((i - (var == 0), j - (var == 1)), c * Scalar.of((i, j)[var]))
+        for (i, j), c in p.terms if (i, j)[var])
 
 
 def quarter_cofactors():
@@ -77,6 +77,10 @@ def test_mf_linear():
         assert mf_linear(i).B.entry(0, 0) * LINEAR[i - 1] == F
     with pytest.raises(ValueError):
         mf_linear(5)
+    # lemma63_invariants reaches mf_linear's check before BRANCH_POINTS.
+    for i in (0, 5):
+        with pytest.raises(ValueError, match="^index must be 1..4$"):
+            lemma63_invariants(i)
 
 
 def test_mf_kst():
@@ -324,8 +328,8 @@ def test_minor_index_out_of_range():
 
 def test_certificate_cached_per_object():
     m = mf_cone(PointP1(ONE, ONE))
-    assert verify_mf(m) is verify_mf(m) is m.certificate
-    assert verify_mf(MatrixFactorization(m.A, m.B, m.f)) is not m.certificate
+    assert verify_mf(m) is verify_mf(m)
+    assert verify_mf(MatrixFactorization(m.A, m.B, m.f)) is not verify_mf(m)
 
 
 def test_reduce_rejects_perturbed_cone_fresh_and_verified():
@@ -365,7 +369,7 @@ def _random_graded(rng, row_twists, col_twists):
                 e[(i, d - i)] = Scalar(
                     [Fraction(rng.randint(-4, 4)) for _ in range(2)],
                     [Fraction(rng.randint(1, 3)), Fraction(rng.randint(0, 1))])
-            row.append(BivariatePoly.from_dict(e))
+            row.append(BivariatePoly(e.items()))
         rows.append(row)
     return GradedMatrix(rows, row_twists, col_twists)
 
@@ -686,7 +690,7 @@ CONE_POINTS = (sample_points(12)
 
 def fresh_certificate(m):
     """The certificate of a copy of m built from its fields alone."""
-    return MatrixFactorization(m.A, m.B, m.f).certificate
+    return verify_mf(MatrixFactorization(m.A, m.B, m.f))
 
 
 def test_cone_certificate_from_parts_equals_full():
@@ -695,14 +699,14 @@ def test_cone_certificate_from_parts_equals_full():
     parts is the one the full check gives."""
     for p in CONE_POINTS:
         m = mf_cone(p)
-        assert m.certificate == fresh_certificate(m)
-        assert m.certificate.ok
+        assert verify_mf(m) == fresh_certificate(m)
+        assert verify_mf(m).ok
     red = reduce_mf(mf_cone(PointP1(Scalar.of(2), ONE)))
     for a, b in ((KST, mf_linear(1)), (red, mf_linear(3).twist(2)),
                  (KST1, mf_cone(PointP1(LAMBDA, ONE)))):
         m = direct_sum(a, b)
-        assert m.certificate == fresh_certificate(m)
-        assert m.certificate.ok
+        assert verify_mf(m) == fresh_certificate(m)
+        assert verify_mf(m).ok
 
 
 def _fallback_cases():
@@ -717,13 +721,21 @@ def _fallback_cases():
         # The psi of the cone at [lambda : 1].
         "swapped-psi": (KST1, KST2, phi, _chain_maps(-LAMBDA, -ONE)[1]),
         "non-factorization-M": (bad_kst, KST2, phi, psi),
+        # Parts that cannot certify the cone, each with zero maps.
+        "different-f": _with_zero_maps(KST1, KST2.specialize(2)),
+        "non-square-M": _with_zero_maps(_rectangular(), mf_linear(1)),
     }
+
+
+def _with_zero_maps(M, N):
+    return (M, N, _zeros(N.A.row_twists, M.A.col_twists),
+            _zeros(N.B.row_twists, M.B.col_twists))
 
 
 @pytest.mark.parametrize("case", sorted(_fallback_cases()))
 def test_cone_fallback_lists_the_full_failures(case):
     m = cone(*_fallback_cases()[case])
-    cert = m.certificate
+    cert = verify_mf(m)
     assert not cert.ok and cert.failures
     assert cert == fresh_certificate(m)
     assert cert.failures == reference_certificate(m)
@@ -740,11 +752,11 @@ def test_verified_cone_runs_no_full_compose(monkeypatch):
         shapes.append((self.nrows, self.ncols, other.ncols))
         return compose(self, other)
 
-    assert KST1.certificate.ok and KST2.certificate.ok
+    assert verify_mf(KST1).ok and verify_mf(KST2).ok
     monkeypatch.setattr(GradedMatrix, "compose", counting)
     for p in CONE_POINTS:
         assert verify_mf(mf_cone(p)).ok
-    assert direct_sum(KST1, KST2).certificate.ok
+    assert verify_mf(direct_sum(KST1, KST2)).ok
     assert (4, 4, 4) not in shapes
     m = mf_cone(PointP1(LAMBDA * 2 - 1, ONE))
     for copied in (m.specialize(Fraction(5, 2)), pickle.loads(pickle.dumps(m)),

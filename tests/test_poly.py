@@ -17,7 +17,7 @@ def rand_poly(rng, terms=4, deg=4):
     d = {}
     for _ in range(terms):
         d[(rng.randint(0, deg), rng.randint(0, deg))] = rand_scalar(rng)
-    return BivariatePoly.from_dict(d)
+    return BivariatePoly(d.items())
 
 
 def test_scalar_canonical_form():
@@ -53,6 +53,25 @@ def test_lambda_coeffs():
         (ONE / LAMBDA).lambda_coeffs()
 
 
+def test_scalar_immutable_rsub_and_as_fraction():
+    s = ONE + LAMBDA
+    with pytest.raises(AttributeError, match="Scalar is immutable"):
+        s._n = (2,)
+    assert 1 - LAMBDA == Scalar((1, -1))
+    assert Fraction(1, 2) - LAMBDA == Scalar((Fraction(1, 2), -1))
+    for dependent in (LAMBDA, ONE / (LAMBDA + 1)):
+        with pytest.raises(ValueError, match="depends on the parameter"):
+            dependent.as_fraction()
+
+
+def test_str_with_lambda_denominator():
+    p = (BivariatePoly.monomial(1, 0, ONE / (LAMBDA + 1))
+         + BivariatePoly.monomial(0, 2, (LAMBDA * 2 - 1) / (LAMBDA * 3))
+         + Y.scale(LAMBDA))
+    assert str(p) == ("(1*L)Y + ((-1/3 + 2/3*L)/(1*L))Y^2"
+                      " + ((1)/(1 + 1*L))X")
+
+
 def test_poly_ring_axioms_random():
     rng = random.Random(42)
     z = BivariatePoly.zero()
@@ -84,7 +103,7 @@ def rand_homogeneous(rng, deg, terms=3):
     for _ in range(terms):
         i = rng.randint(0, deg)
         d[(i, deg - i)] = rand_scalar(rng)
-    return BivariatePoly.from_dict(d)
+    return BivariatePoly(d.items())
 
 
 def assert_canonical(p):

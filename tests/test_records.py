@@ -13,7 +13,7 @@ import pytest
 
 from ellmf.k0 import K0Class, LVector, RootInfo, RootKind
 from ellmf.mf import (BranchReport, Certificate, GradedMatrix,
-                      MatrixFactorization, PointP1)
+                      MatrixFactorization, PointP1, cone, verify_mf)
 from ellmf.poly import BivariatePoly
 from ellmf.tables import (BettiClass, BettiTable, CohomTable, IndecCount,
                           TableError)
@@ -23,6 +23,7 @@ X = BivariatePoly(terms=(((1, 0), 1),))
 Y = BivariatePoly(terms=(((0, 1), 1),))
 GX = GradedMatrix(entries=((X,),), row_twists=(0,), col_twists=(1,))
 GY = GradedMatrix(entries=((Y,),), row_twists=(1,), col_twists=(2,))
+XY = MatrixFactorization(GX, GY, X * Y)
 S1 = "Scalar(num=(Fraction(1, 1),), den=(Fraction(1, 1),))"
 S2 = "Scalar(num=(Fraction(2, 1),), den=(Fraction(1, 1),))"
 RX = f"BivariatePoly(terms=(((1, 0), {S1}),))"
@@ -43,10 +44,10 @@ CASES = {
         f"GradedMatrix(entries=(({RX},),), row_twists=(0,), "
         f"col_twists=(1,))"),
     "Certificate": (
-        lambda: Certificate(ok=False, failures=(("f", -1, -1, "f is zero"),)),
-        lambda: Certificate(True, ()),
-        ("ok", "failures"),
-        "Certificate(ok=False, failures=(('f', -1, -1, 'f is zero'),))"),
+        lambda: Certificate(failures=(("f", -1, -1, "f is zero"),)),
+        lambda: Certificate(()),
+        ("failures",),
+        "Certificate(failures=(('f', -1, -1, 'f is zero'),))"),
     "MatrixFactorization": (
         lambda: MatrixFactorization(A=GX, B=GY, f=X * Y),
         lambda: MatrixFactorization(GY, GX, X * Y),
@@ -147,6 +148,9 @@ def test_defaults_and_positional_order():
     assert IndecCount(3) == IndecCount(finite=3, level=None, base=None)
     assert IndecCount(None, 2, "full-line").base == "full-line"
     assert K0Class(1, (0, 0, 0, 0), 0) == K0Class(n=0, a=(0, 0, 0, 0), a0=1)
+    # ok is derived from failures, not a field.
+    assert Certificate(()).ok
+    assert not Certificate((("f", -1, -1, "f is zero"),)).ok
 
 
 @pytest.mark.parametrize("name", INHERITED_INIT)
@@ -170,7 +174,7 @@ def test_certificate_cache_is_not_a_field():
     takes no part in ==, hash or repr."""
     build = CASES["MatrixFactorization"][0]
     m, twin = build(), build()
-    assert m.certificate.ok and m.certificate is m.certificate
+    assert verify_mf(m).ok and verify_mf(m) is verify_mf(m)
     assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
 
 
@@ -187,6 +191,10 @@ def test_certificate_cache_is_not_a_field():
      "homological index must be 0 or 1"),
     (lambda: BettiTable((((0, 0), -1),)), TableError,
      "negative Betti number"),
+    (lambda: BettiTable((((0, 0), 1), ((0, 0), 2))), TableError,
+     "repeated cell"),
+    (lambda: BettiTable((((0, 0), 1), ((0, 0), 0))), TableError,
+     "repeated cell"),
     (lambda: CohomTable(((1, 1), (0, 0), (0, 0))), TableError,
      "need four rows"),
     (lambda: CohomTable(((1, 1), (0, 0), (0, 0), (0.0, 0))), TableError,
@@ -204,6 +212,11 @@ def test_certificate_cache_is_not_a_field():
      "row count mismatch"),
     (lambda: GradedMatrix(((X, X),), (0,), (1,)), ValueError,
      "column count mismatch"),
+    (lambda: GX.compose(GX), ValueError, "twist mismatch in composition"),
+    # A map of the cone of XY with itself, of the wrong twists.
+    (lambda: cone(XY, XY, GY, GY), ValueError, "bottom row twists disagree"),
+    (lambda: cone(XY, XY, GradedMatrix(((Y,),), (0,), (2,)), GY),
+     ValueError, "left column twists disagree"),
     (lambda: BivariatePoly((((-1, 0), 1),)), ValueError, "negative exponent"),
 ])
 def test_validation_errors(build, error, message):

@@ -30,7 +30,7 @@ def T(*rows):
 
 
 def B(d):
-    return BettiTable.from_dict(d)
+    return BettiTable(d)
 
 
 def fundamental_pairs(r_max, d_max):
@@ -64,6 +64,8 @@ def test_rank_one_examples():
     assert cohom_rank_one((2, -6)).rows == ((0, 0), (0, 0), (3, 3), (1, 1))
     with pytest.raises(NotReducedError):
         cohom_rank_one((1, -1))
+    with pytest.raises(NotReducedError):
+        cohom_rank_two((1, -1))
 
 
 def test_rank_two_d_odd():
@@ -223,6 +225,10 @@ def test_template_constraints():
         template_table("first-kind-even-a", (3,))
     with pytest.raises(TableError):
         template_table("II", (1.0, 2))
+    with pytest.raises(TableError, match="^parameters must be nonnegative$"):
+        template_table("II", (-1, 2))
+    with pytest.raises(TableError, match="^unknown kind 'VI'$"):
+        template_table("VI", (1,))
 
 
 def test_general_offsets_are_distinct():
@@ -447,6 +453,8 @@ def test_hilbert_rejects_non_mcm():
         hilbert(B({(1, 0): 1, (0, 1): 1}))
     with pytest.raises(TableError):
         hilbert(B({(0, 0): 1, (1, 1): 2}))
+    with pytest.raises(TableError, match="zero numerator"):
+        hilbert(B({(0, 0): 1, (1, 0): 1}))
 
 
 
