@@ -18,9 +18,26 @@ homogeneous: then its A*B is f*I in both diagonal blocks and 0 in the
 upper right one, so only the lower left block phi*B_M + A_N*psi, which is
 0 exactly when (phi, psi) is a chain map, is formed, and B*A is skipped
 as above.  The parts are kept outside the fields, so they take no part in
-==, hash, repr or pickling.  In every other case, and on any copy of the
-cone (specialized, pickled or rebuilt from its fields), the full check
-runs and lists the same failures.
+==, hash, repr or pickling.  In every other case, and on a pickled copy
+or one rebuilt from the fields, the full check runs and lists the same
+failures.
+
+A factorization built by specialize, twist or syzygy from a source that
+passes verification passes too, and no product is formed, provided its
+own f is nonzero.  Each construction keeps A*B = f*I exactly:
+specialization is a ring homomorphism on the coefficients wherever no
+entry has a pole (specialize raises at one), and it only drops terms, so
+twists and homogeneity carry over and a nonzero f keeps its degree; a
+twist changes no entry and no degree difference; and the syzygy
+(B, A(deg f)) satisfies B*A = f*I by the argument above, or by its
+direct check when A is not square.  The guard on f is needed because a
+specialized f can vanish: scaling B by lambda - 2 and f by the same
+factor verifies, while at lambda = 2 the full check reports f is zero.
+The source is kept outside the fields as a cone's parts are, and dropped
+once the certificate is computed.  A construction from an object whose
+own certificate is still pending links to that object's source instead,
+so a chain of constructions resolves in one step.  A failing source, a
+zero f, or a copy without the link gets the full check.
 """
 from __future__ import annotations
 
@@ -194,35 +211,49 @@ class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
     and every field under it are immutable, so its certificate (see
     verify_mf) depends on its value alone: it is computed on first use and
-    cached on this object, and lives as long as the object does.  For a
-    cone's certificate, see the module docstring."""
+    cached on this object, and lives as long as the object does.  For the
+    certificate of a cone, specialization, twist or syzygy, see the module
+    docstring."""
 
     __slots__ = ("A", "B", "f", "__dict__")
 
     def specialize(self, value) -> "MatrixFactorization":
         """Each distinct entry object is specialized once: a cone shares
-        its KST blocks and chain-map entries between cells."""
+        its KST blocks and chain-map entries between cells.  Certified from
+        self (see the module docstring)."""
         at = _specializer(value)
-        return MatrixFactorization(self.A._map(at), self.B._map(at),
-                                   at(self.f))
+        return self._derive(self.A._map(at), self.B._map(at), at(self.f))
 
     def twist(self, k: int) -> "MatrixFactorization":
-        """(A(k), B(k)): both matrices tensored with S(-k)."""
-        return MatrixFactorization(self.A.twist(k), self.B.twist(k), self.f)
+        """(A(k), B(k)): both matrices tensored with S(-k).  Certified from
+        self (see the module docstring)."""
+        return self._derive(self.A.twist(k), self.B.twist(k), self.f)
 
     def syzygy(self) -> "MatrixFactorization":
-        """(B, A(deg f)): the next step of the periodic resolution."""
+        """(B, A(deg f)): the next step of the periodic resolution.
+        Certified from self (see the module docstring)."""
         deg = self.f.total_degree()
         if deg is None:
             raise ValueError("f is zero")
-        return MatrixFactorization(self.B, self.A.twist(deg), self.f)
+        return self._derive(self.B, self.A.twist(deg), self.f)
+
+    def _derive(self, A, B, f) -> "MatrixFactorization":
+        """(A, B) of f, linked to self or, while self's certificate is
+        pending, to self's own source."""
+        m = MatrixFactorization(A, B, f)
+        m.__dict__["_source"] = self.__dict__.get("_source", self)
+        return m
 
     @cached_property
     def _certificate(self) -> Certificate:
         """The Certificate of verify_mf, computed on first use (for a
-        cone, see the module docstring)."""
+        cone or a construction, see the module docstring)."""
         parts = self.__dict__.get("_parts")
         if parts is not None and _parts_certify(*parts):
+            return Certificate(())
+        source = self.__dict__.pop("_source", None)
+        if (source is not None and not self.f.is_zero()
+                and source._certificate.ok):
             return Certificate(())
         fails = []
         A, B, f = self.A, self.B, self.f
@@ -337,7 +368,7 @@ def verify_mf(m: MatrixFactorization) -> Certificate:
     """The certificate of m: both product identities, twist bookkeeping
     and homogeneity, every defect collected instead of raised.  It is
     computed once per object and cached there; for which products are
-    formed, and for cones, see the module docstring."""
+    formed, and for cones and constructions, see the module docstring."""
     return m._certificate
 
 
@@ -374,7 +405,7 @@ def _chain_maps(s: Scalar, t: Scalar):
 # whose cone realizes the degree-two skyscraper there.
 PHI_PSI = (*_chain_maps(ZERO, ONE), *_chain_maps(ONE, ZERO))
 # The parts every cone glues, the suspended KST and its twist; built once,
-# so each is verified once per process.
+# so each reads KST's certificate once per process.
 KST1, KST2 = KST.twist(1), KST.twist(2)
 
 

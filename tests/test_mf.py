@@ -742,9 +742,9 @@ def test_cone_fallback_lists_the_full_failures(case):
 
 
 def test_verified_cone_runs_no_full_compose(monkeypatch):
-    """With the parts' certificates warm a cone forms no 4x4 product; a
-    specialized, pickled or copied cone carries no parts and is checked
-    in full."""
+    """With the parts' certificates warm a cone forms no 4x4 product, and
+    neither does its specialization, certified from the cone; a pickled or
+    copied cone carries no parts and is checked in full."""
     shapes = []
     compose = GradedMatrix.compose
 
@@ -759,12 +759,135 @@ def test_verified_cone_runs_no_full_compose(monkeypatch):
     assert verify_mf(direct_sum(KST1, KST2)).ok
     assert (4, 4, 4) not in shapes
     m = mf_cone(PointP1(LAMBDA * 2 - 1, ONE))
-    for copied in (m.specialize(Fraction(5, 2)), pickle.loads(pickle.dumps(m)),
-                   copy.deepcopy(m), copy.copy(m)):
+    shapes.clear()
+    assert verify_mf(m.specialize(Fraction(5, 2))).ok
+    assert (4, 4, 4) not in shapes
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m),
+                   copy.copy(m)):
         shapes.clear()
         assert verify_mf(copied).ok
         assert shapes == [(4, 4, 4)]
     assert pickle.loads(pickle.dumps(m)) == m
+
+
+def _constructions():
+    """(name, op) for specialize, twist and syzygy, each alone and in
+    chains, one of them verified halfway."""
+    ops = [(f"specialize({v})", lambda m, v=v: m.specialize(v))
+           for v in (0, 1, Fraction(5, 2), Fraction(-7, 3))]
+    ops += [(f"twist({k})", lambda m, k=k: m.twist(k)) for k in range(-2, 3)]
+    ops.append(("syzygy", MatrixFactorization.syzygy))
+
+    def chain(*steps):
+        def run(m):
+            for step in steps:
+                m = step(m)
+            return m
+        return run
+
+    def verified(m):
+        verify_mf(m)
+        return m
+
+    spec, syz = (lambda m: m.specialize(Fraction(5, 2)),
+                 MatrixFactorization.syzygy)
+    ops += [
+        ("syzygy.twist(1).specialize", chain(syz, lambda m: m.twist(1),
+                                             spec)),
+        ("specialize.syzygy.syzygy", chain(spec, syz, syz)),
+        ("twist(-2).specialize(1).verify.specialize.syzygy",
+         chain(lambda m: m.twist(-2), lambda m: m.specialize(1), verified,
+               spec, syz)),
+    ]
+    return ops
+
+
+def _differential_sources():
+    """kst, the linear pieces, the 1x2 _rectangular() (the one that fails,
+    on B*A), the cones at CONE_POINTS and their reductions, and direct
+    sums scrambled by base changes."""
+    cones = [mf_cone(p) for p in CONE_POINTS]
+    sums = [_mix(_mix(direct_sum(KST, mf_linear(1)), 0, 0, 2, 2),
+                 1, 2, 0, LAMBDA - 1),
+            _mix(direct_sum(mf_linear(4), reduce_mf(cones[5])), 0, 2, 0, 3),
+            _mix(direct_sum(KST1, cones[-1]), 0, 3, 1, Fraction(1, 2))]
+    return ([KST, _rectangular()] + [mf_linear(i) for i in range(1, 5)]
+            + cones + [reduce_mf(c) for c in cones] + sums)
+
+
+def test_derived_certificate_equals_full(monkeypatch):
+    """For every construction, the certificate read from a passing source
+    forms no product and equals a fresh copy's full certificate; on
+    failing sources the full check runs and lists the same failures."""
+    shapes = []
+    compose = GradedMatrix.compose
+
+    def counting(self, other):
+        shapes.append((self.nrows, self.ncols, other.ncols))
+        return compose(self, other)
+
+    monkeypatch.setattr(GradedMatrix, "compose", counting)
+    sources = _differential_sources()
+    bad = [_with_entry(KST, "A", 0, 0, Y), _with_entry(KST, "B", 1, 0, X),
+           _with_entry(sources[10], "B", 0, 1, BivariatePoly.monomial(0, 0)),
+           _with_entry(sources[20], "A", 3, 0,
+                       BivariatePoly.monomial(0, 2, LAMBDA - 2)),
+           _with_entry(mf_linear(2), "A", 0, 0, X * X)]
+    for source in sources + bad:
+        ok = verify_mf(source).ok
+        for name, op in _constructions():
+            m = op(source)
+            shapes.clear()
+            cert = verify_mf(m)
+            if ok:
+                assert shapes == [], name
+            assert cert == fresh_certificate(m), name
+    assert sum(verify_mf(m).ok for m in sources) == len(sources) - 1
+    assert not any(verify_mf(m).ok for m in bad)
+
+
+def test_specialized_zero_f_gets_the_full_check():
+    """B and f scaled by lambda - 2 still factor; at lambda = 2 f vanishes
+    and the full check's failure is reported, not the source's ok."""
+    for m in (KST, mf_linear(3), mf_cone(PointP1(Scalar.of(3), ONE))):
+        c = LAMBDA - 2
+        scaled = MatrixFactorization(m.A, m.B._map(lambda p: p.scale(c)),
+                                     m.f.scale(c))
+        assert verify_mf(scaled).ok
+        zero = scaled.specialize(2)
+        assert verify_mf(zero).failures == (("f", -1, -1, "f is zero"),)
+        assert verify_mf(zero) == fresh_certificate(zero)
+        assert verify_mf(scaled.twist(1).specialize(2)) == verify_mf(zero)
+        assert verify_mf(scaled.specialize(3)).ok
+
+
+def test_failing_source_gives_its_constructions_the_full_check():
+    """The source's failures are not handed on: each construction of a
+    failing source lists its own, which at lambda = 3 are the symbolic
+    defect (lambda - 2)*Y^2 evaluated there."""
+    cone = mf_cone(PointP1(Scalar.of(3), ONE))
+    bad = _with_entry(cone, "A", 3, 0,
+                      BivariatePoly.monomial(0, 2, LAMBDA - 2))
+    assert not verify_mf(bad).ok
+    for m in (bad.specialize(3), bad.twist(1), bad.syzygy()):
+        cert = verify_mf(m)
+        assert not cert.ok and cert == fresh_certificate(m)
+    assert verify_mf(bad.specialize(3)) != verify_mf(bad)
+
+
+def test_long_construction_chain_verifies():
+    """3000 alternating syzygies and twists, none verified on the way,
+    resolve in one step from KST, and the link is no field."""
+    m = KST
+    for _ in range(3000):
+        m = m.syzygy().twist(1)
+    copied = pickle.loads(pickle.dumps(m))
+    assert (copied == m and hash(copied) == hash(m)
+            and repr(copied) == repr(m))
+    assert verify_mf(m).ok
+    assert verify_mf(m) == fresh_certificate(m) == verify_mf(copied)
+    # Each two steps are two syzygies, the twist by 4, and two twists by 1.
+    assert m == KST.twist(1500 * 6)
 
 
 def _dictionary_objects():
