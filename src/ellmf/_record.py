@@ -2,6 +2,22 @@
 from operator import attrgetter
 
 
+class _Trusted:
+    """Record._trusted: generated from the slot descriptors when a class
+    first reads it and then stored on that class, so start-up compiles
+    none for the classes that never use it."""
+
+    def __get__(self, obj, cls):
+        fields = cls._fields
+        scope = {"_new": object.__new__, "_cls": cls}
+        scope.update((f"_set_{n}", vars(cls)[n].__set__) for n in fields)
+        body = "".join(f"    _set_{n}(_obj, {n})\n" for n in fields)
+        exec(f"def _trusted({', '.join(fields)}):\n"
+             f"    _obj = _new(_cls)\n{body}    return _obj\n", scope)
+        cls._trusted = staticmethod(scope["_trusted"])
+        return scope["_trusted"]
+
+
 class Record:
     """A value with named fields, fixed once built.
 
@@ -16,9 +32,15 @@ class Record:
     equal, and the hash is that of the tuple of fields.  Both read the
     class's _key: the slot itself for one field, so == costs one slot read
     a side, else the tuple of fields, built by one attrgetter.
+
+    Each subclass also has the static method _trusted(*fields), which
+    stores the fields as given and runs no __init__: for values valid by
+    how the library computed them.  Outside input goes through the class
+    itself, whose __init__ checks it.
     """
 
     __slots__ = ()
+    _trusted = _Trusted()
 
     def __init_subclass__(cls):
         fields = tuple(n for n in cls.__slots__ if n != "__dict__")

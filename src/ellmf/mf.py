@@ -87,14 +87,6 @@ class GradedMatrix(Record):
         object.__setattr__(self, "row_twists", row_twists)
         object.__setattr__(self, "col_twists", col_twists)
 
-    @classmethod
-    def _trusted(cls, entries, row_twists, col_twists) -> "GradedMatrix":
-        """For a tuple of row tuples and two twist tuples that already fit
-        one another: skips the checks of __init__."""
-        g = object.__new__(cls)
-        Record.__init__(g, entries, row_twists, col_twists)
-        return g
-
     @property
     def nrows(self) -> int:
         return len(self.row_twists)

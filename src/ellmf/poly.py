@@ -2,11 +2,11 @@
 
 A polynomial is a sorted tuple of (exponents, nonzero Scalar) terms.  The
 public constructor merges and sorts outside input; arithmetic results are
-already canonical and skip it.  Every sum and product, `+`, `-`, `*` and
-`scale` included, is one sum of products, `dot`: one pass over integer
-accumulators when every coefficient has an integer denominator, as at a
-numeric parameter and in most symbolic work, else one qlambda.dot per
-monomial.
+already canonical and skip it through BivariatePoly._trusted.  Every sum
+and product, `+`, `-`, `*` and `scale` included, is one sum of products,
+`dot`: one pass over integer accumulators when every coefficient has an
+integer denominator, as at a numeric parameter and in most symbolic work,
+else one qlambda.dot per monomial.
 """
 from __future__ import annotations
 
@@ -31,14 +31,6 @@ class BivariatePoly(Record):
             merged[(i, j)] = c
         items = tuple(sorted((k, c) for k, c in merged.items() if c))
         object.__setattr__(self, "terms", items)
-
-    @classmethod
-    def _trusted(cls, terms) -> "BivariatePoly":
-        """For terms that are already sorted, merged, nonzero and canonical:
-        skips the merge of __init__."""
-        p = _new(cls)
-        _set_terms(p, terms)
-        return p
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
@@ -103,10 +95,6 @@ class BivariatePoly(Record):
                     mono += name if e == 1 else f"{name}^{e}"
             parts.append(f"({_scalar_str(c)}){mono}")
         return " + ".join(parts)
-
-
-_new = object.__new__
-_set_terms = BivariatePoly.terms.__set__
 
 
 def dot(pairs) -> BivariatePoly:

@@ -14,6 +14,14 @@ those four sheaves, and since the twist by c adds r to an Euler
 characteristic, the two numbers h = chi(F) and hw = chi(F(w)) fix the whole
 table.  The generic tables of region R2 are the d = 0 case of the h0
 layout, at h = hw = 0.
+
+The public constructors CohomTable(...) and BettiTable(...) check every
+value.  A table derived here from values already checked, by a shift, a
+suspension, a template, a readout, a mirror or the closed-form layout, is
+built with _trusted instead: its validity follows from the arithmetic
+that made it, and the test that rebuilds each one through the public
+constructor pins that.  The public functions check their own scalar
+arguments (a type, a shift, template parameters) before they build.
 """
 from __future__ import annotations
 
@@ -53,7 +61,7 @@ class CohomTable(Record):
 
     def mirror(self) -> "CohomTable":
         """Swap columns: the table of the canonical twist."""
-        return CohomTable(tuple((b, a) for a, b in self.rows))
+        return CohomTable._trusted(tuple((b, a) for a, b in self.rows))
 
 
 class BettiTable(Record):
@@ -98,42 +106,57 @@ class BettiTable(Record):
 
 def translate_betti(t: BettiTable, m: int) -> BettiTable:
     """Betti table of the internal shift by m: output(i, j) = input(i, j + m)."""
-    return BettiTable({(i, j - m): v for (i, j), v in t.entries})
+    if type(m) is not int:
+        raise TableError(f"shift m must be an integer, got {m!r}")
+    return BettiTable._trusted(tuple(((i, j - m), v)
+                                     for (i, j), v in t.entries))
 
 
 def suspend_betti(t: BettiTable) -> BettiTable:
     """Betti table of the syzygy-type flip: output(0, j) = input(1, j) and
-    output(1, j) = input(0, j - 4); squares to the internal shift by -4."""
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), v in t.entries:
-        if i == 1:
-            out[(0, j)] = out.get((0, j), 0) + v
-        else:
-            out[(1, j + 4)] = out.get((1, j + 4), 0) + v
-    return BettiTable(out)
+    output(1, j) = input(0, j - 4); squares to the internal shift by -4.
+    The two rows trade places, so no cells collide and each keeps its
+    order."""
+    e = t.entries
+    return BettiTable._trusted(
+        tuple(((0, j), v) for (i, j), v in e if i == 1)
+        + tuple(((1, j + 4), v) for (i, j), v in e if i == 0))
 
 
 def betti_from_cohom(t: CohomTable) -> BettiTable:
     """Positional readout: row k of the table is (b_{0,k}, b_{1,k+2})."""
-    d: dict[tuple[int, int], int] = {}
-    for k, (left, right) in enumerate(t.rows):
-        d[(0, k)] = left
-        d[(1, k + 2)] = right
-    return BettiTable(d)
+    rows = t.rows
+    return BettiTable._trusted(
+        tuple(((0, k), v) for k, (v, _) in enumerate(rows) if v)
+        + tuple(((1, k + 2), v) for k, (_, v) in enumerate(rows) if v))
 
 
 def _table(p: tuple[int, int], h: int, hw: int) -> CohomTable:
-    """The table of type p = (r, d) with chi(F) = h and chi(F(w)) = hw."""
+    """The table of type p = (r, d) with chi(F) = h and chi(F(w)) = hw.
+    Its column sums agree by the layout; only the signs need a check."""
     r, d = p
     if d >= 0:
-        return CohomTable(((h, hw), (hw + r, h + r), (0, 0), (0, 0)))
-    return CohomTable(((0, 0), (0, 0), (-hw, -h), (-h - r, -hw - r)))
+        rows = ((h, hw), (hw + r, h + r), (0, 0), (0, 0))
+    else:
+        rows = ((0, 0), (0, 0), (-hw, -h), (-h - r, -hw - r))
+    if min(map(min, rows)) < 0:
+        raise TableError("negative entry")
+    return CohomTable._trusted(rows)
+
+
+def _type_of(p) -> tuple[int, int]:
+    """p as the type (r, d), refused unless it is a pair of integers."""
+    if type(p) is not tuple or len(p) != 2 or any(type(v) is not int
+                                                  for v in p):
+        raise TableError(f"type p must be a pair of integers (r, d), "
+                         f"got {p!r}")
+    return p
 
 
 def cohom_rank_one(p: tuple[int, int]) -> CohomTable | None:
     """Table of the self-canonical indecomposables of type (r, d), which
     exist iff gcd(r, d) is even; None when the gcd is odd."""
-    r, d = p
+    r, d = _type_of(p)
     if region(p) is Region.OUTSIDE:
         raise NotReducedError(f"{p} is not in the fundamental domain")
     if gcd(abs(r), abs(d)) % 2 == 1:
@@ -144,16 +167,17 @@ def cohom_rank_one(p: tuple[int, int]) -> CohomTable | None:
 def cohom_rank_two(p: tuple[int, int]) -> list[tuple[CohomTable, int, str]]:
     """All tables of indecomposables of type (r, d) not fixed by the
     canonical twist, with their multiplicities and a tube tag."""
-    r, d = p
+    r, d = _type_of(p)
     reg = region(p)
     if reg is Region.OUTSIDE:
         raise NotReducedError(f"{p} is not in the fundamental domain")
 
     if reg is Region.R2:
         if r % 2 == 1:
-            socle_o = CohomTable(((1, 0), (r - 1, r + 1), (1, 0), (0, 0)))
+            socle_o = CohomTable._trusted(
+                ((1, 0), (r - 1, r + 1), (1, 0), (0, 0)))
         else:
-            socle_o = CohomTable(((1, 0), (r, r), (0, 1), (0, 0)))
+            socle_o = CohomTable._trusted(((1, 0), (r, r), (0, 1), (0, 0)))
         return [(socle_o, 1, "socle-O"), (socle_o.mirror(), 1, "socle-omega"),
                 (_table(p, 0, 0), 6, "generic")]
 
@@ -240,8 +264,18 @@ _FIRST_KINDS_OF_PARITY = ((FIRST_KIND_EVEN_A, FIRST_KIND_EVEN_B),
 
 
 def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
-    """Unshifted catalog table for a classification kind."""
-    if kind in GENERAL_TYPES:
+    """Unshifted catalog table for a classification kind.  Once kind and
+    params pass their checks, every cell is a nonnegative integer in
+    sorted order, so the zero cells are dropped and the table is built
+    trusted."""
+    if kind not in GENERAL_TYPES and kind not in FIRST_KIND_TYPES:
+        raise TableError(f"unknown kind {kind!r}")
+    n = 2 if kind in GENERAL_TYPES else 1
+    if type(params) is not tuple or len(params) != n or any(
+            type(v) is not int for v in params):
+        raise TableError(f"params of kind {kind} must be a tuple of {n} "
+                         f"integers, got {params!r}")
+    if n == 2:
         a, b = params
         if a < 0 or b < 0:
             raise TableError("parameters must be nonnegative")
@@ -249,24 +283,25 @@ def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
             raise TableError("type I requires b != 0")
         if kind in (TYPE_IV, TYPE_V) and (b - a) % 2 == 0:
             raise TableError(f"type {kind} requires b - a odd")
-        return BettiTable(tuple(
+        return BettiTable._trusted(tuple(
             (cell, v + k) for cell, v, k in
-            zip(_GENERAL_CELLS, (a, b, a, b), _GENERAL_OFFSETS[kind])))
+            zip(_GENERAL_CELLS, (a, b, a, b), _GENERAL_OFFSETS[kind])
+            if v + k))
     (r,) = params
     if r <= 0:
         raise TableError("first-kind rank must be positive")
-    if kind not in FIRST_KIND_TYPES:
-        raise TableError(f"unknown kind {kind!r}")
     if r % 2 != (kind in (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B)):
         raise TableError("rank parity")
-    d = {
-        FIRST_KIND_ODD_A: {(0, 0): 1, (0, 1): r - 1, (0, 2): 1, (1, 3): r + 1},
-        FIRST_KIND_ODD_B: {(0, 0): r + 1, (1, 1): 1, (1, 2): r - 1, (1, 3): 1},
-        FIRST_KIND_EVEN_A: {(0, 0): 1, (0, 1): r, (1, 3): r, (1, 4): 1},
+    if kind == FIRST_KIND_ODD_A:
+        cells = (((0, 0), 1), ((0, 1), r - 1), ((0, 2), 1), ((1, 3), r + 1))
+    elif kind == FIRST_KIND_ODD_B:
+        cells = (((0, 0), r + 1), ((1, 1), 1), ((1, 2), r - 1), ((1, 3), 1))
+    elif kind == FIRST_KIND_EVEN_A:
+        cells = (((0, 0), 1), ((0, 1), r), ((1, 3), r), ((1, 4), 1))
+    else:
         # Suspension of the even-A shape; forced by rank/degree recovery.
-        FIRST_KIND_EVEN_B: {(0, 0): r, (0, 1): 1, (1, 1): 1, (1, 2): r},
-    }[kind]
-    return BettiTable(d)
+        cells = (((0, 0), r), ((0, 1), 1), ((1, 1), 1), ((1, 2), r))
+    return BettiTable._trusted(tuple(c for c in cells if c[1]))
 
 
 def normalize_and_classify(t: BettiTable) -> BettiClass:
@@ -287,10 +322,10 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
     if not t.is_balanced():
         raise TableError("column sums differ")
     r = sum(v for (i, _), v in t.entries if i == 0) - 1
-    lo, matches = t.support()[0], []
+    lo, matches = min(j for (_, j), _ in t.entries), []
     for m in (lo - 1, lo):
-        shifted = translate_betti(t, m)
-        e = shifted.as_dict()
+        shifted = translate_betti(t, m).entries
+        e = dict(shifted)
         b00, b01 = e.get((0, 0), 0), e.get((0, 1), 0)
         b12, b13 = e.get((1, 2), 0), e.get((1, 3), 0)
         a, b = min(b00, b12), min(b01, b13)
@@ -300,7 +335,7 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
             candidates.insert(0, (general, (a, b)))
         for kind, params in candidates:
             try:
-                if template_table(kind, params) == shifted:
+                if template_table(kind, params).entries == shifted:
                     matches.append(BettiClass(kind, params, m))
             except TableError:
                 pass

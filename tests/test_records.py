@@ -143,6 +143,28 @@ def test_record_semantics(name):
     assert tuple(getattr(x, f) for f in fields) == values
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trusted_stores_the_fields_as_given(name):
+    """_trusted, generated per class from its slots, builds the same value
+    from the same fields, by position or keyword, and runs no __init__."""
+    build, _, fields, text = CASES[name]
+    x = build()
+    cls, values = type(x), [getattr(x, f) for f in fields]
+    for y in (cls._trusted(*values), cls._trusted(**dict(zip(fields,
+                                                             values)))):
+        assert type(y) is cls and y == x and repr(y) == text
+        assert hash(y) == hash(x)
+        assert pickle.loads(pickle.dumps(y)) == x
+        with pytest.raises(AttributeError):
+            setattr(y, fields[0], values[0])
+    assert x._trusted is cls._trusted
+    with pytest.raises(TypeError):
+        cls._trusted(*values[:-1])
+    # Unchecked: a table with a zero cell, which __init__ would drop.
+    if name == "BettiTable":
+        assert cls._trusted((((0, 0), 0),)).entries == (((0, 0), 0),)
+
+
 def test_defaults_and_positional_order():
     assert BettiClass("I", (1, 1)).shift == 0
     assert IndecCount(3) == IndecCount(finite=3, level=None, base=None)

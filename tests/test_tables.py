@@ -231,6 +231,46 @@ def test_template_constraints():
         template_table("VI", (1,))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: cohom_rank_one((2.0, 4.0)),
+     r"^type p must be a pair of integers \(r, d\), got \(2\.0, 4\.0\)$"),
+    (lambda: cohom_rank_one((True, 2)),
+     r"^type p must be a pair of integers \(r, d\), got \(True, 2\)$"),
+    (lambda: cohom_rank_two((True, 3)),
+     r"^type p must be a pair of integers \(r, d\), got \(True, 3\)$"),
+    (lambda: cohom_rank_two((1, 2, 3)),
+     r"^type p must be a pair of integers \(r, d\), got \(1, 2, 3\)$"),
+    (lambda: template_table("II", (True, 2)),
+     r"^params of kind II must be a tuple of 2 integers, got \(True, 2\)$"),
+    (lambda: template_table("first-kind-odd-a", (True,)),
+     r"^params of kind first-kind-odd-a must be a tuple of 1 integers, "
+     r"got \(True,\)$"),
+    (lambda: template_table("I", (1, 2, 3)),
+     r"^params of kind I must be a tuple of 2 integers, got \(1, 2, 3\)$"),
+    (lambda: template_table("first-kind-even-a", 2),
+     r"^params of kind first-kind-even-a must be a tuple of 1 integers, "
+     r"got 2$"),
+    (lambda: template_table("VI", (1, 2)), r"^unknown kind 'VI'$"),
+    (lambda: translate_betti(B({(0, 0): 1}), True),
+     r"^shift m must be an integer, got True$"),
+])
+def test_public_entry_points_name_the_bad_argument(call, message):
+    """No silent coercion of bools or floats, and a wrong-length argument
+    is a TableError, not an unpacking error."""
+    with pytest.raises(TableError, match=message) as info:
+        call()
+    assert type(info.value) is TableError
+
+
+def test_euler_table_keeps_its_sign_check():
+    # (r, d) = (0, 1) is in R1, but chi of this class's canonical twist
+    # is negative.
+    cl = K0Class(0, (-1, -1, -1, 0), 2)
+    assert (rank(cl), degree(cl)) == (0, 1) and chi(tensor_omega(cl)) < 0
+    with pytest.raises(TableError, match="^negative entry$"):
+        cohom_via_euler(cl)
+
+
 def test_general_offsets_are_distinct():
     # The decoder reads the kind back off the offsets.
     rows = list(tables._GENERAL_OFFSETS.values())
@@ -464,3 +504,64 @@ def test_catalog_size_is_catalog_length():
             for r_max in (-1, 0, 1, 2, 5):
                 assert tables.catalog_size(a_max, b_max, r_max) == len(
                     catalog(a_max, b_max, r_max))
+
+
+# --- trusted construction ---------------------------------------------------
+
+def _assert_sound(t):
+    """A table the library built trusted equals its validated rebuild, and
+    every index and count in it is exactly an int."""
+    if type(t) is BettiTable:
+        assert BettiTable(t.entries) == t, t
+        values = [x for (i, j), v in t.entries for x in (i, j, v)]
+    else:
+        assert type(t) is CohomTable and CohomTable(t.rows) == t, t
+        values = [v for row in t.rows for v in row]
+    assert all(type(v) is int for v in values), t
+
+
+def test_trusted_tables_equal_their_validated_rebuilds(monkeypatch):
+    """Every table built here through _trusted: translates, suspensions,
+    templates, readouts, mirrors and the Euler and closed-form tables, and
+    each candidate and shift that the classifier builds."""
+    seen = dict.fromkeys(("template_table", "translate_betti", "catalog",
+                          "cohom", "euler"), 0)
+    for name in ("template_table", "translate_betti"):
+        def checked(*args, name=name, real=getattr(tables, name)):
+            t = real(*args)
+            _assert_sound(t)
+            seen[name] += 1
+            return t
+
+        monkeypatch.setattr(tables, name, checked)
+
+    def sound_readout(t):
+        _assert_sound(t)
+        _assert_sound(t.mirror())
+        b = betti_from_cohom(t)
+        _assert_sound(b)
+        if not b.is_empty():
+            normalize_and_classify(b)
+
+    classes = catalog(6, 6, 12)
+    for c, t in classes:
+        for m in range(-3, 4):
+            shifted = tables.translate_betti(t, m)
+            _assert_sound(suspend_betti(shifted))
+            got = normalize_and_classify(shifted)
+            assert (got.kind, got.params, got.shift) == (c.kind, c.params, -m)
+            seen["catalog"] += 1
+    for r, d in fundamental_pairs(12, 30):
+        one = cohom_rank_one((r, d))
+        for t in ([one] if one is not None else []) + [
+                t for t, _, _ in cohom_rank_two((r, d))]:
+            sound_readout(t)
+            seen["cohom"] += 1
+        if region((r, d)) in (Region.R1, Region.R3):
+            for cl in real_root_classes_with_rd(r, d):
+                sound_readout(cohom_via_euler(cl))
+                seen["euler"] += 1
+    assert seen["catalog"] == 7 * len(classes) and seen["cohom"] > 1000, seen
+    assert seen["euler"] > 1000, seen
+    assert seen["template_table"] > 10000, seen
+    assert seen["translate_betti"] > 10000, seen
