@@ -27,6 +27,10 @@ class Record:
     stores each as given; a missing, unknown or doubled field raises
     TypeError.  A subclass writes its own __init__, whose parameters are
     the fields in that order, only to check, normalise or default them.
+    The one exception is qlambda.Scalar, whose constructor takes a
+    Fraction form (num, den) and normalises it into its integer fields
+    (_n, _d); reading the canonical pair back as coefficients gives the
+    same pair, so pickling by the fields holds for it too.
     Assigning or deleting an attribute afterwards raises AttributeError.
     Two records are equal when they are of one class and their fields are
     equal, and the hash is that of the tuple of fields.  Both read the

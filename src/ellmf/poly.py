@@ -6,12 +6,16 @@ already canonical and skip it through BivariatePoly._trusted.  Every sum
 and product, `+`, `-`, `*` and `scale` included, is one sum of products,
 `dot`: one pass over integer accumulators when every coefficient has an
 integer denominator, as at a numeric parameter and in most symbolic work,
-else one qlambda.dot per monomial.
+else one qlambda.dot per monomial.  Each accumulator is a numerator over
+an integer denominator, which _rescale brings to the lcm of the
+denominators it meets.
 """
 from __future__ import annotations
 
+from math import gcd
+
 from ._record import Record
-from .qlambda import MINUS_ONE, ONE, Scalar, _canon, _rescale
+from .qlambda import MINUS_ONE, ONE, Scalar, _canon
 from .qlambda import dot as scalar_dot
 
 
@@ -95,6 +99,20 @@ class BivariatePoly(Record):
                     mono += name if e == 1 else f"{name}^{e}"
             parts.append(f"({_scalar_str(c)}){mono}")
         return " + ".join(parts)
+
+
+def _rescale(s: list, q: int) -> int:
+    """Bring s = [den, n0, n1, ...], the integer coefficients in the
+    parameter of a numerator over the positive integer den, over
+    lcm(den, q); return lcm/q, the factor a product over q enters with."""
+    den = s[0]
+    g = gcd(den, q)
+    if g != q:
+        r = q // g
+        s[0] = den * r
+        for k in range(1, len(s)):
+            s[k] *= r
+    return den // g
 
 
 def dot(pairs) -> BivariatePoly:

@@ -3,12 +3,16 @@
 A Scalar is N/D with N, D integer polynomials in the parameter (tuples of
 ints, low degree first), held in the unique form where N and D are coprime
 over the rationals, D has a positive leading coefficient and the integer
-coefficients of N and D together have gcd 1.  Zero is () / (1,).
+coefficients of N and D together have gcd 1.  Zero is () / (1,).  Scalar
+is a Record whose fields _n and _d hold N and D; its constructor takes
+Fraction coefficient sequences and normalises them into that form, and
+Scalar._trusted stores a pair already in it.
 
 Arithmetic runs on Python ints, fraction-free in the style of Bareiss.
 Every sum and product, `+`, `-` and `*` included, is one sum of products,
-`dot`: the products accumulate into one integer coefficient list over one
-common denominator, which _canon makes canonical once at the end.  The
+`dot`: one loop adds each product into one integer coefficient list over
+one common denominator, multiplying both by each new denominator it
+meets, and _canon makes the sum canonical once at the end.  The
 polynomial gcd (a primitive pseudo-remainder sequence) runs only when that
 denominator depends on the parameter.  specialize evaluates N and D in
 integers alone.  The public num/den, as Fraction tuples with a monic den,
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from ._record import Record
 
 Poly = tuple[Fraction, ...]        # coefficient of lambda^k at index k
 ZPoly = tuple[int, ...]            # the same over the integers, trimmed
@@ -39,12 +45,6 @@ def p_trim(c) -> Poly:
 
 def _z_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     """Convolution; over the integers the leading product never vanishes."""
-    if len(a) == 1:
-        c = a[0]
-        return tuple(c * v for v in b)
-    if len(b) == 1:
-        c = b[0]
-        return tuple(c * v for v in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -114,13 +114,6 @@ def _z_homogeneous_at(a: ZPoly, p: int, q: int) -> int:
 
 # --- canonical forms --------------------------------------------------------
 
-def _make(n: ZPoly, d: ZPoly) -> "Scalar":
-    s = _new(Scalar)
-    _set_n(s, n)
-    _set_d(s, d)
-    return s
-
-
 def _canon(n: ZPoly, d: ZPoly) -> "Scalar":
     """The canonical form of N/D; the polynomial gcd runs only when D
     depends on the parameter."""
@@ -136,77 +129,45 @@ def _canon(n: ZPoly, d: ZPoly) -> "Scalar":
     if c != 1:
         n = tuple([v // c for v in n])
         d = tuple([v // c for v in d])
-    return _make(n, d)
-
-
-def _rescale(s: list, q: int) -> int:
-    """Bring s = [den, n0, n1, ...], the integer coefficients in the
-    parameter of a numerator over the positive integer den, over
-    lcm(den, q); return lcm/q, the factor a product over q enters with."""
-    den = s[0]
-    g = gcd(den, q)
-    if g != q:
-        r = q // g
-        s[0] = den * r
-        for k in range(1, len(s)):
-            s[k] *= r
-    return den // g
+    return Scalar._trusted(n, d)
 
 
 def dot(pairs) -> "Scalar":
     """The sum of a*b over the (a, b) pairs, canonicalised once.
 
-    The products accumulate into one integer coefficient list over the
-    common denominator den*lam, with den a positive integer and lam an
-    integer polynomial, both 1 at the start.  A product with an integer
-    constant denominator q grows den to lcm(den, q), and the list is
-    rescaled by lcm/den (_rescale, which poly.dot shares); one with a parameter-dependent denominator q other
-    than lam is multiplied into lam, and the list is rescaled by q.  Each
-    product enters times its cofactor over den*lam.  A lone nonzero
-    product against the constant +-1, as in x + 0, is +-(its other factor),
-    already canonical, and is returned without the gcd.
+    One loop over the nonzero products n1*n2 / (d1*d2).  Each adds into
+    one integer coefficient list over one common denominator den, an
+    integer polynomial in the parameter that starts at 1.  A product over
+    another denominator q multiplies the list and den by q, and enters
+    times the old den.  _canon makes the sum canonical at the end.
     """
-    pairs = [(a, b) for a, b in pairs if a._n and b._n]
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        if a == ONE or a == MINUS_ONE:
-            a, b = b, a
-        if b == ONE:
-            return a
-        if b == MINUS_ONE:
-            return -a
-    s = [1]                 # [den, n0, n1, ...]: the numerator over den
-    lam = (1,)
+    acc: list[int] = []
+    den: ZPoly = (1,)
     for a, b in pairs:
-        n1, d1, n2, d2 = a._n, a._d, b._n, b._d
-        if len(d1) == 1 and len(d2) == 1:
-            q = d1[0] * d2[0]
-            m = 1 if q == s[0] else _rescale(s, q)
-            if len(lam) > 1:
-                n1 = _z_mul(n1, lam)
-        else:
-            q = _z_mul(d1, d2)
-            if q != lam:
-                if len(s) > 1:
-                    s[1:] = _z_mul(s[1:], q)
-                n1 = _z_mul(n1, lam)
-                lam = _z_mul(lam, q)
-            m = s[0]
-        top = len(n1) + len(n2)
-        if len(s) < top:
-            s += [0] * (top - len(s))
-        for i, x in enumerate(n1, 1):
+        n1, n2 = a._n, b._n
+        if not n1 or not n2:
+            continue
+        q = _z_mul(a._d, b._d)
+        if q != den:
+            acc = list(_z_mul(acc, q))
+            n1 = _z_mul(n1, den)
+            den = _z_mul(den, q)
+        top = len(n1) + len(n2) - 1
+        if len(acc) < top:
+            acc += [0] * (top - len(acc))
+        for i, x in enumerate(n1):
             if x:
-                x *= m
                 for j, y in enumerate(n2, i):
-                    s[j] += x * y
-    while len(s) > 1 and not s[-1]:
-        s.pop()
-    return _canon(tuple(s[1:]), tuple(s[0] * v for v in lam))
+                    acc[j] += x * y
+    while acc and not acc[-1]:
+        acc.pop()
+    return _canon(tuple(acc), den)
 
 
-class Scalar:
-    """N/D in the canonical form of the module docstring."""
+class Scalar(Record):
+    """N/D in the canonical form of the module docstring, in the fields
+    _n and _d.  == and hash mean what Record's do, written out to compare
+    the two slots directly, as the cone pipeline does often."""
 
     __slots__ = ("_n", "_d")
 
@@ -218,14 +179,11 @@ class Scalar:
         scale = lcm(*(v.denominator for v in num + den))
         s = _canon(tuple(v.numerator * (scale // v.denominator) for v in num),
                    tuple(v.numerator * (scale // v.denominator) for v in den))
-        _set_n(self, s._n)
-        _set_d(self, s._d)
+        object.__setattr__(self, "_n", s._n)
+        object.__setattr__(self, "_d", s._d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        return _make, (self._n, self._d)
 
     @property
     def num(self) -> Poly:
@@ -253,7 +211,7 @@ class Scalar:
         if isinstance(v, Scalar):
             return v
         v = Fraction(v)
-        return _make((v.numerator,), (v.denominator,)) if v else ZERO
+        return Scalar._trusted((v.numerator,), (v.denominator,)) if v else ZERO
 
     def __bool__(self) -> bool:
         return bool(self._n)
@@ -266,7 +224,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(tuple(-v for v in self._n), self._d)
+        return Scalar._trusted(tuple(-v for v in self._n), self._d)
 
     def __sub__(self, other):
         if other.__class__ is not Scalar:
@@ -288,8 +246,8 @@ class Scalar:
         if not n:
             raise ZeroDivisionError("inverting zero")
         if n[-1] < 0:
-            return _make(tuple(-v for v in d), tuple(-v for v in n))
-        return _make(d, n)
+            return Scalar._trusted(tuple(-v for v in d), tuple(-v for v in n))
+        return Scalar._trusted(d, n)
 
     def __truediv__(self, other):
         return self * Scalar.of(other).inverse()
@@ -322,7 +280,7 @@ class Scalar:
         g = gcd(nv, dv)
         if dv < 0:
             g = -g
-        return _make((nv // g,), (dv // g,))
+        return Scalar._trusted((nv // g,), (dv // g,))
 
     def lambda_coeffs(self) -> Poly:
         """Numerator coefficients; requires a polynomial (denominator 1)."""
@@ -331,11 +289,7 @@ class Scalar:
         return self.num
 
 
-_new = object.__new__
-_set_n = Scalar._n.__set__
-_set_d = Scalar._d.__set__
-
-ZERO = _make((), (1,))
-ONE = _make((1,), (1,))
-MINUS_ONE = _make((-1,), (1,))
-LAMBDA = _make((0, 1), (1,))
+ZERO = Scalar._trusted((), (1,))
+ONE = Scalar._trusted((1,), (1,))
+MINUS_ONE = Scalar._trusted((-1,), (1,))
+LAMBDA = Scalar._trusted((0, 1), (1,))

@@ -4,8 +4,9 @@ Scalars are drawn as num/den coefficient lists with small rational entries
 and parameter degree at most 3 (4 for specialize).  Every result is
 compared in canonical form: sympy.cancel's num/den, rescaled to a monic
 den, against Scalar's num/den.  dot is also checked against a test-local
-copy of its single-path form, which has no lane for rational constants,
-and poly.dot against that copy run once per monomial.  hypothesis and
+reference, single_path_dot: a second algorithm, with an lcm lane for
+integer denominators, that is not the one under test.  poly.dot is
+checked against that reference run once per monomial.  hypothesis and
 sympy are test-only; the tests skip without them.
 """
 import re
@@ -206,8 +207,11 @@ def test_dot_shared_lambda_denominator(terms, den):
 # --- dot over runs of rational constants, and the integer-only specialize ---
 
 def single_path_dot(pairs):
-    """dot as it was before its constant lane: every product goes through
-    one integer coefficient list, canonicalised by _canon at the end."""
+    """An independent reference for dot, not the algorithm under test: a
+    sum of products with an lcm lane.  Every product goes through one
+    integer coefficient list over den*lam, where integer denominators meet
+    in their lcm den and parameter-dependent ones multiply into lam,
+    canonicalised by _canon at the end."""
     acc: list[int] = []
     den, lam = 1, (1,)
     for a, b in pairs:
@@ -271,6 +275,9 @@ def lane_pair_lists(draw):
 @SETTINGS
 @given(lane_pair_lists())
 def test_dot_lanes_match_single_path_and_oracle(raw):
+    """Runs of rational constants mixed with parameter-dependent products:
+    dot equals the lcm-lane reference single_path_dot in the canonical
+    pair, and sympy in value."""
     pairs = [(Scalar(*a), Scalar(*b)) for a, b in raw]
     got = dot(pairs)
     want = single_path_dot(pairs)

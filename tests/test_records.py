@@ -1,4 +1,4 @@
-"""The value semantics of the 15 immutable record classes.
+"""The value semantics of the 16 immutable record classes.
 
 Each record has an exact repr `Name(field=value, ...)`, compares equal
 only to a record of its own class with equal fields, hashes as the tuple
@@ -15,6 +15,7 @@ from ellmf.k0 import K0Class, LVector, RootInfo, RootKind
 from ellmf.mf import (BranchReport, Certificate, GradedMatrix,
                       MatrixFactorization, PointP1, cone, verify_mf)
 from ellmf.poly import BivariatePoly
+from ellmf.qlambda import Scalar
 from ellmf.tables import (BettiClass, BettiTable, CohomTable, IndecCount,
                           TableError)
 from ellmf.tubular import MutationWord, TubeInfo
@@ -108,14 +109,21 @@ CASES = {
         "TubeInfo(g=2, rank_one_exists=True, rank_one_length=1, "
         "rank_two_length=2, finitely_many=False, count_if_finite=None, "
         "has_exceptional=False)"),
+    # Built from Fraction coefficients; the fields hold the canonical
+    # integer pair, here (1 + 2L) / (2L).
+    "Scalar": (
+        lambda: Scalar(num=[1, 2], den=[0, 2]), lambda: Scalar([2], [4]),
+        ("_n", "_d"),
+        "Scalar(num=(Fraction(1, 2), Fraction(1, 1)), "
+        "den=(Fraction(0, 1), Fraction(1, 1)))"),
 }
 # The records that keep no __init__ of their own.
 INHERITED_INIT = ("Certificate", "MatrixFactorization", "BranchReport",
                   "LVector", "RootInfo", "TubeInfo")
 
 
-def test_all_fifteen_classes_covered():
-    assert len(CASES) == 15
+def test_all_sixteen_classes_covered():
+    assert len(CASES) == 16
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -163,6 +171,17 @@ def test_trusted_stores_the_fields_as_given(name):
     # Unchecked: a table with a zero cell, which __init__ would drop.
     if name == "BettiTable":
         assert cls._trusted((((0, 0), 0),)).entries == (((0, 0), 0),)
+
+
+@pytest.mark.parametrize("s", [Scalar([1, 2], [0, 2]), Scalar([2], [4])])
+def test_scalar_copies_rebuild_through_the_constructor(s):
+    """pickle and deepcopy rebuild a Scalar as Scalar(_n, _d), which keeps
+    the pair: the canonical form read as coefficients is a fixed point of
+    the normalising constructor."""
+    assert s.__reduce__() == (Scalar, (s._n, s._d))
+    for t in (Scalar(s._n, s._d), pickle.loads(pickle.dumps(s)),
+              copy.deepcopy(s)):
+        assert type(t) is Scalar and (t._n, t._d) == (s._n, s._d)
 
 
 def test_defaults_and_positional_order():
