@@ -5,17 +5,22 @@ from operator import attrgetter
 class _Trusted:
     """Record._trusted: generated from the slot descriptors when a class
     first reads it and then stored on that class, so start-up compiles
-    none for the classes that never use it."""
+    none for the classes that never use it.  Each is compiled from the
+    file name <Class._trusted> and carries that qualified name, so a
+    profile lists each class on its own row."""
 
     def __get__(self, obj, cls):
-        fields = cls._fields
+        fields, name = cls._fields, f"{cls.__qualname__}._trusted"
         scope = {"_new": object.__new__, "_cls": cls}
         scope.update((f"_set_{n}", vars(cls)[n].__set__) for n in fields)
         body = "".join(f"    _set_{n}(_obj, {n})\n" for n in fields)
-        exec(f"def _trusted({', '.join(fields)}):\n"
-             f"    _obj = _new(_cls)\n{body}    return _obj\n", scope)
-        cls._trusted = staticmethod(scope["_trusted"])
-        return scope["_trusted"]
+        exec(compile(f"def _trusted({', '.join(fields)}):\n"
+                     f"    _obj = _new(_cls)\n{body}    return _obj\n",
+                     f"<{name}>", "exec"), scope)
+        fn = scope["_trusted"]
+        fn.__qualname__ = name
+        cls._trusted = staticmethod(fn)
+        return fn
 
 
 class Record:

@@ -11,33 +11,25 @@ gives det A * det B = f^n != 0, so B = f*A^-1 over the fraction field and
 B*A = f*I follows.  Each factorization caches its certificate, so checking
 the same object twice composes once.
 
-A cone built by cone(M, N, phi, psi), as every mf_cone and direct_sum is,
-is checked from its parts when M and N share f, pass verification (by
-their cached certificates) and are square, and phi and psi are
-homogeneous: then its A*B is f*I in both diagonal blocks and 0 in the
-upper right one, so only the lower left block phi*B_M + A_N*psi, which is
-0 exactly when (phi, psi) is a chain map, is formed, and B*A is skipped
-as above.  The parts are kept outside the fields, so they take no part in
-==, hash, repr or pickling.  In every other case, and on a pickled copy
-or one rebuilt from the fields, the full check runs and lists the same
-failures.
-
-A factorization built by specialize, twist or syzygy from a source that
-passes verification passes too, and no product is formed, provided its
-own f is nonzero.  Each construction keeps A*B = f*I exactly:
-specialization is a ring homomorphism on the coefficients wherever no
-entry has a pole (specialize raises at one), and it only drops terms, so
-twists and homogeneity carry over and a nonzero f keeps its degree; a
-twist changes no entry and no degree difference; and the syzygy
-(B, A(deg f)) satisfies B*A = f*I by the argument above, or by its
-direct check when A is not square.  The guard on f is needed because a
-specialized f can vanish: scaling B by lambda - 2 and f by the same
-factor verifies, while at lambda = 2 the full check reports f is zero.
-The source is kept outside the fields as a cone's parts are, and dropped
-once the certificate is computed.  A construction from an object whose
-own certificate is still pending links to that object's source instead,
-so a chain of constructions resolves in one step.  A failing source, a
-zero f, or a copy without the link gets the full check.
+Two constructions store an ok certificate when they build; any other
+factorization, a copy included, gets the full check on first use.
+- cone(M, N, phi, psi), which builds every mf_cone and direct_sum: when
+  M and N share f, pass verification and are square, and phi and psi are
+  homogeneous, its A*B is f*I in both diagonal blocks and 0 in the upper
+  right one.  So only the lower left block phi*B_M + A_N*psi is formed;
+  it is 0 exactly when (phi, psi) is a chain map, and B*A follows as
+  above.
+- specialize, twist and syzygy hold the certificate of their source when
+  it passes, computed then if still pending, and their own f is nonzero.
+  Each keeps A*B = f*I exactly: specialization is a ring homomorphism on
+  the coefficients wherever no entry has a pole (specialize raises at
+  one), and it only drops terms, so twists and homogeneity carry over and
+  a nonzero f keeps its degree; a twist changes no entry and no degree
+  difference; and the syzygy (B, A(deg f)) satisfies B*A = f*I by the
+  argument above, or by its direct check when A is not square.  The guard
+  on f is needed because a specialized f can vanish: scaling B by
+  lambda - 2 and f by the same factor verifies, while at lambda = 2 the
+  full check reports f is zero.
 """
 from __future__ import annotations
 
@@ -119,11 +111,13 @@ class GradedMatrix(Record):
                      for row in self.entries)
         return GradedMatrix._trusted(rows, self.row_twists, other.col_twists)
 
-    def twist(self, m: int) -> "GradedMatrix":
-        """Tensor with S(-m): shifts both twist vectors by m."""
+    def twist(self, k: int) -> "GradedMatrix":
+        """Tensor with S(-k): shifts both twist vectors by k, an int."""
+        if type(k) is not int:
+            raise ValueError(f"twist k must be an integer, got {k!r}")
         return GradedMatrix._trusted(self.entries,
-                                     tuple(u + m for u in self.row_twists),
-                                     tuple(v + m for v in self.col_twists))
+                                     tuple(u + k for u in self.row_twists),
+                                     tuple(v + k for v in self.col_twists))
 
     def _map(self, fn) -> "GradedMatrix":
         """fn applied to every entry, twists kept."""
@@ -202,51 +196,43 @@ class Certificate(Record):
 class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
     and every field under it are immutable, so its certificate (see
-    verify_mf) depends on its value alone: it is computed on first use and
-    cached on this object, and lives as long as the object does.  For the
-    certificate of a cone, specialization, twist or syzygy, see the module
-    docstring."""
+    verify_mf) depends on its value alone: it is cached on this object, or
+    stored there by the cone or construction that built it."""
 
     __slots__ = ("A", "B", "f", "__dict__")
 
     def specialize(self, value) -> "MatrixFactorization":
         """Each distinct entry object is specialized once: a cone shares
-        its KST blocks and chain-map entries between cells.  Certified from
-        self (see the module docstring)."""
+        its KST blocks and chain-map entries between cells.  Holds self's
+        certificate (see the module docstring)."""
         at = _specializer(value)
         return self._derive(self.A._map(at), self.B._map(at), at(self.f))
 
     def twist(self, k: int) -> "MatrixFactorization":
-        """(A(k), B(k)): both matrices tensored with S(-k).  Certified from
-        self (see the module docstring)."""
+        """(A(k), B(k)): both matrices tensored with S(-k), k an int.
+        Holds self's certificate (see the module docstring)."""
         return self._derive(self.A.twist(k), self.B.twist(k), self.f)
 
     def syzygy(self) -> "MatrixFactorization":
         """(B, A(deg f)): the next step of the periodic resolution.
-        Certified from self (see the module docstring)."""
+        Holds self's certificate (see the module docstring)."""
         deg = self.f.total_degree()
         if deg is None:
             raise ValueError("f is zero")
         return self._derive(self.B, self.A.twist(deg), self.f)
 
     def _derive(self, A, B, f) -> "MatrixFactorization":
-        """(A, B) of f, linked to self or, while self's certificate is
-        pending, to self's own source."""
+        """(A, B) of f, holding self's certificate when it passes and f is
+        nonzero."""
         m = MatrixFactorization(A, B, f)
-        m.__dict__["_source"] = self.__dict__.get("_source", self)
+        if self._certificate.ok and not f.is_zero():
+            m.__dict__["_certificate"] = self._certificate
         return m
 
     @cached_property
     def _certificate(self) -> Certificate:
-        """The Certificate of verify_mf, computed on first use (for a
-        cone or a construction, see the module docstring)."""
-        parts = self.__dict__.get("_parts")
-        if parts is not None and _parts_certify(*parts):
-            return Certificate(())
-        source = self.__dict__.pop("_source", None)
-        if (source is not None and not self.f.is_zero()
-                and source._certificate.ok):
-            return Certificate(())
+        """The Certificate of verify_mf by the full check, computed on
+        first use unless a construction stored it."""
         fails = []
         A, B, f = self.A, self.B, self.f
         deg = f.total_degree()
@@ -273,11 +259,12 @@ class MatrixFactorization(Record):
 def cone(M: MatrixFactorization, N: MatrixFactorization, phi: GradedMatrix,
          psi: GradedMatrix) -> MatrixFactorization:
     """The factorization ([[A_M, 0], [phi, A_N]], [[B_M, 0], [psi, B_N]])
-    of M's f, verified from its parts (see the module docstring).  Raises
-    ValueError if a map's twists do not fit."""
+    of M's f, holding an ok certificate when its parts give one (see the
+    module docstring).  Raises ValueError if a map's twists do not fit."""
     c = MatrixFactorization(block_lower(M.A, phi, N.A),
                             block_lower(M.B, psi, N.B), M.f)
-    c.__dict__["_parts"] = (M, N, phi, psi)
+    if _cone_certifies(M, N, phi, psi):
+        c.__dict__["_certificate"] = Certificate(())
     return c
 
 
@@ -294,7 +281,7 @@ def _zeros(row_twists, col_twists) -> GradedMatrix:
                                  row_twists, col_twists)
 
 
-def _parts_certify(M, N, phi, psi) -> bool:
+def _cone_certifies(M, N, phi, psi) -> bool:
     """Whether the cone of these parts verifies by its chain-map block
     alone (see the module docstring)."""
     if M.f != N.f or M.A.nrows != M.A.ncols or N.A.nrows != N.A.ncols:
@@ -359,14 +346,16 @@ class PointP1(Record):
 def verify_mf(m: MatrixFactorization) -> Certificate:
     """The certificate of m: both product identities, twist bookkeeping
     and homogeneity, every defect collected instead of raised.  It is
-    computed once per object and cached there; for which products are
-    formed, and for cones and constructions, see the module docstring."""
+    computed once per object and cached there, unless the construction
+    that built m stored it (see the module docstring)."""
     return m._certificate
 
 
 def mf_linear(i: int) -> MatrixFactorization:
     """The 1x1 factorization (l_i, f/l_i) presenting the module cut out by
     the i-th linear factor; f/l_i is the product of the other three."""
+    if type(i) is not int:
+        raise ValueError(f"index i must be an integer, got {i!r}")
     if i not in (1, 2, 3, 4):
         raise ValueError("index must be 1..4")
     a, b, c = (lj for j, lj in enumerate(LINEAR, 1) if j != i)
@@ -397,7 +386,7 @@ def _chain_maps(s: Scalar, t: Scalar):
 # whose cone realizes the degree-two skyscraper there.
 PHI_PSI = (*_chain_maps(ZERO, ONE), *_chain_maps(ONE, ZERO))
 # The parts every cone glues, the suspended KST and its twist; built once,
-# so each reads KST's certificate once per process.
+# each holding KST's certificate, which is checked once per process.
 KST1, KST2 = KST.twist(1), KST.twist(2)
 
 
@@ -515,12 +504,9 @@ def lemma63_invariants(i: int) -> BranchReport:
     branch point against its two length-one pieces."""
     from .tables import rd_from_betti
     m = mf_linear(i)
-    mp = betti_of_mf(mf_Mp_reduced(BRANCH_POINTS[i - 1]))
-    sub = betti_of_mf(m.twist(1))
-    quot = betti_of_mf(m.syzygy().twist(-1))
-    mp_rd = rd_from_betti(mp)
-    sub_rd = rd_from_betti(sub)
-    quot_rd = rd_from_betti(quot)
-    additive = (mp_rd[0] == sub_rd[0] + quot_rd[0]
-                and mp_rd[1] == sub_rd[1] + quot_rd[1])
+    mp_rd, sub_rd, quot_rd = (
+        rd_from_betti(betti_of_mf(x))
+        for x in (mf_Mp_reduced(BRANCH_POINTS[i - 1]), m.twist(1),
+                  m.syzygy().twist(-1)))
+    additive = all(a == b + c for a, b, c in zip(mp_rd, sub_rd, quot_rd))
     return BranchReport(i, mp_rd, sub_rd, quot_rd, additive)

@@ -41,6 +41,15 @@ class TableError(ValueError):
     """Malformed or unclassifiable table."""
 
 
+def _pair(x, what: str) -> tuple:
+    """x as a 2-tuple, or a TableError naming it."""
+    try:
+        a, b = x
+    except (TypeError, ValueError):
+        raise TableError(f"{what} must be a pair, got {x!r}") from None
+    return a, b
+
+
 class CohomTable(Record):
     """Rows: (h0 F, h0 Fw), (h0 F(c)w, h0 F(c)), (h1 Fw, h1 F),
     (h1 F(c), h1 F(c)w).  Both column sums agree."""
@@ -48,7 +57,7 @@ class CohomTable(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, int], ...]):
-        rows = tuple((a, b) for a, b in rows)
+        rows = tuple(_pair(row, "row") for row in rows)
         if len(rows) != 4:
             raise TableError("need four rows")
         if any(type(v) is not int for row in rows for v in row):
@@ -73,23 +82,22 @@ class BettiTable(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        pairs = tuple(entries.items() if hasattr(entries, "items")
-                      else entries)
-        cells = dict(pairs)
-        if len(cells) != len(pairs):
-            raise TableError("repeated cell")
-        items = []
-        for (i, j), v in cells.items():
+        cells = {}
+        for item in (entries.items() if hasattr(entries, "items")
+                     else entries):
+            cell, v = _pair(item, "entry ((i, j), count)")
+            i, j = cell = _pair(cell, "cell (i, j)")
             if type(i) is not int or type(j) is not int or type(v) is not int:
                 raise TableError("indices and Betti numbers must be integers")
-            if v:
-                if i not in (0, 1):
-                    raise TableError("homological index must be 0 or 1")
-                if v < 0:
-                    raise TableError("negative Betti number")
-                items.append(((i, j), v))
-        items.sort()
-        object.__setattr__(self, "entries", tuple(items))
+            if cell in cells:
+                raise TableError("repeated cell")
+            if v and i not in (0, 1):
+                raise TableError("homological index must be 0 or 1")
+            if v < 0:
+                raise TableError("negative Betti number")
+            cells[cell] = v
+        object.__setattr__(self, "entries",
+                           tuple(sorted(c for c in cells.items() if c[1])))
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,20 @@ def test_mf_linear():
     for i in (0, 5):
         with pytest.raises(ValueError, match="^index must be 1..4$"):
             lemma63_invariants(i)
+
+
+@pytest.mark.parametrize("value", [0.5, True, 1.0, Fraction(1)])
+def test_twist_and_mf_linear_refuse_non_integers(value):
+    """A float, bool or Fraction twist or index is refused by name, not
+    taken as an int: KST.twist(0.5) would have half-integer twists, and
+    mf_linear(1.0) would fail later on a tuple index."""
+    for g in (KST, KST.A):
+        with pytest.raises(ValueError, match="^twist k must be an integer, "
+                           f"got {re.escape(repr(value))}$"):
+            g.twist(value)
+    with pytest.raises(ValueError, match="^index i must be an integer, "
+                       f"got {re.escape(repr(value))}$"):
+        mf_linear(value)
 
 
 def test_mf_kst():
@@ -743,8 +758,9 @@ def test_cone_fallback_lists_the_full_failures(case):
 
 def test_verified_cone_runs_no_full_compose(monkeypatch):
     """With the parts' certificates warm a cone forms no 4x4 product, and
-    neither does its specialization, certified from the cone; a pickled or
-    copied cone carries no parts and is checked in full."""
+    neither does its specialization, which holds the cone's certificate; a
+    pickled or copied cone carries no stored certificate and is checked in
+    full."""
     shapes = []
     compose = GradedMatrix.compose
 
@@ -768,6 +784,24 @@ def test_verified_cone_runs_no_full_compose(monkeypatch):
         assert verify_mf(copied).ok
         assert shapes == [(4, 4, 4)]
     assert pickle.loads(pickle.dumps(m)) == m
+
+
+def test_constructions_store_the_certificate_and_no_link():
+    """A cone, direct sum, specialization, twist or syzygy of passing
+    parts holds its ok certificate from the start and nothing else, so
+    no part or source is kept alive; a construction of a failing part
+    holds nothing until verify_mf runs its full check."""
+    c = mf_cone(PointP1(LAMBDA, ONE))
+    for m in (c, direct_sum(KST, mf_linear(1)), c.specialize(Fraction(5, 2)),
+              c.twist(-1), c.syzygy(), mf_linear(2).syzygy().twist(1)):
+        assert vars(m).keys() == {"_certificate"}
+        assert verify_mf(m).ok and vars(m).keys() == {"_certificate"}
+    assert verify_mf(c.twist(1)) is verify_mf(c)
+    bad = _with_entry(KST, "A", 0, 0, Y)
+    for m in (bad.specialize(2), bad.twist(1), bad.syzygy(),
+              direct_sum(bad, KST)):
+        assert vars(m) == {}
+        assert not verify_mf(m).ok and vars(m).keys() == {"_certificate"}
 
 
 def _constructions():
@@ -877,7 +911,7 @@ def test_failing_source_gives_its_constructions_the_full_check():
 
 def test_long_construction_chain_verifies():
     """3000 alternating syzygies and twists, none verified on the way,
-    resolve in one step from KST, and the link is no field."""
+    each hold KST's certificate, and it is no field."""
     m = KST
     for _ in range(3000):
         m = m.syzygy().twist(1)

@@ -154,7 +154,9 @@ def test_record_semantics(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trusted_stores_the_fields_as_given(name):
     """_trusted, generated per class from its slots, builds the same value
-    from the same fields, by position or keyword, and runs no __init__."""
+    from the same fields, by position or keyword, and runs no __init__.
+    It is compiled from a file name of its own and named for its class,
+    so a profile gives each class its own row."""
     build, _, fields, text = CASES[name]
     x = build()
     cls, values = type(x), [getattr(x, f) for f in fields]
@@ -166,6 +168,9 @@ def test_trusted_stores_the_fields_as_given(name):
         with pytest.raises(AttributeError):
             setattr(y, fields[0], values[0])
     assert x._trusted is cls._trusted
+    qualname = f"{cls.__qualname__}._trusted"
+    assert cls._trusted.__qualname__ == qualname
+    assert cls._trusted.__code__.co_filename == f"<{qualname}>"
     with pytest.raises(TypeError):
         cls._trusted(*values[:-1])
     # Unchecked: a table with a zero cell, which __init__ would drop.

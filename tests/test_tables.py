@@ -23,6 +23,7 @@ from ellmf.tables import (
     cohom_via_euler, hilbert, indec_count, normalize_and_classify,
     rd_from_betti, suspend_betti, template_table, translate_betti,
 )
+from ellmf.tubular import tube_invariants
 
 
 def T(*rows):
@@ -253,6 +254,17 @@ def test_template_constraints():
     (lambda: template_table("VI", (1, 2)), r"^unknown kind 'VI'$"),
     (lambda: translate_betti(B({(0, 0): 1}), True),
      r"^shift m must be an integer, got True$"),
+    (lambda: B({5: 1}), r"^cell \(i, j\) must be a pair, got 5$"),
+    (lambda: B({(1, 2, 3): 1}),
+     r"^cell \(i, j\) must be a pair, got \(1, 2, 3\)$"),
+    (lambda: B([((0, 0), 1, 2)]),
+     r"^entry \(\(i, j\), count\) must be a pair, "
+     r"got \(\(0, 0\), 1, 2\)$"),
+    (lambda: B([5]), r"^entry \(\(i, j\), count\) must be a pair, "
+     r"got 5$"),
+    (lambda: T((1, 0), (0, 1), (0, 0), 5), r"^row must be a pair, got 5$"),
+    (lambda: T((1, 0), (0, 1), (1, 2, 3), (0, 0)),
+     r"^row must be a pair, got \(1, 2, 3\)$"),
 ])
 def test_public_entry_points_name_the_bad_argument(call, message):
     """No silent coercion of bools or floats, and a wrong-length argument
@@ -455,6 +467,36 @@ def test_catalog_closure_under_suspension():
                                           for cc, _ in catalog(5, 5, 7)}
         assert (got.kind, got.params) == (SUSPENSION_PARTNER[c.kind],
                                           c.params), c
+
+
+def test_catalog_both_ways_with_counts():
+    """Over r <= 10, |d| <= 30: every class of catalog(4, 4, 8) is the
+    class of a readout of cohom_rank_one or cohom_rank_two, or of its
+    suspension; each finite indec_count of a readout is the multiplicity
+    cohom_rank_two gives its table, and each family's level is the
+    rank-one tube length of tube_invariants."""
+    seen, finite, families = set(), 0, 0
+    for p in fundamental_pairs(10, 30):
+        readouts = [(t, mult) for t, mult, _ in cohom_rank_two(p)]
+        one = cohom_rank_one(p)
+        if one is not None:
+            readouts.append((one, None))
+        for t, mult in readouts:
+            bt = betti_from_cohom(t)
+            if bt.is_empty():
+                continue
+            count = indec_count(normalize_and_classify(bt))
+            if count.finite is not None:
+                assert count.finite == mult, (p, t)
+                finite += 1
+            else:
+                assert count.level == tube_invariants(p).rank_one_length, p
+                families += 1
+            for u in (bt, suspend_betti(bt)):
+                c = normalize_and_classify(u)
+                seen.add((c.kind, c.params))
+    assert {(c.kind, c.params) for c, _ in catalog(4, 4, 8)} <= seen
+    assert finite and families
 
 
 def test_indec_counts():
