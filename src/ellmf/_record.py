@@ -2,25 +2,30 @@
 from operator import attrgetter
 
 
-class _Trusted:
-    """Record._trusted: generated from the slot descriptors when a class
-    first reads it and then stored on that class, so start-up compiles
-    none for the classes that never use it.  Each is compiled from the
-    file name <Class._trusted> and carries that qualified name, so a
-    profile lists each class on its own row."""
+class _Generated:
+    """Record._trusted and Record._store, compiled from one source per
+    class on its first read of either name (so start-up compiles none for
+    classes never built) and then stored on it.  Both set the slots in the
+    same straight lines.  The file and _trusted are named <Class._trusted>
+    for profiles; the storer takes the class's name, which errors show."""
 
     def __get__(self, obj, cls):
-        fields, name = cls._fields, f"{cls.__qualname__}._trusted"
+        fields, name = cls._fields, cls.__qualname__
         scope = {"_new": object.__new__, "_cls": cls}
         scope.update((f"_set_{n}", vars(cls)[n].__set__) for n in fields)
-        body = "".join(f"    _set_{n}(_obj, {n})\n" for n in fields)
-        exec(compile(f"def _trusted({', '.join(fields)}):\n"
-                     f"    _obj = _new(_cls)\n{body}    return _obj\n",
-                     f"<{name}>", "exec"), scope)
-        fn = scope["_trusted"]
-        fn.__qualname__ = name
-        cls._trusted = staticmethod(fn)
-        return fn
+        args = ", ".join(fields)
+        sets = "".join(f"    _set_{n}(_obj, {n})\n" for n in fields)
+        exec(compile(f"def _trusted({args}):\n    _obj = _new(_cls)\n"
+                     f"{sets}    return _obj\n"
+                     f"def {cls.__name__}(_obj, /, {args}):\n{sets}",
+                     f"<{name}._trusted>", "exec"), scope)
+        scope["_trusted"].__qualname__ = f"{name}._trusted"
+        cls._trusted = staticmethod(scope["_trusted"])
+        cls._store = scope[cls.__name__]
+        return getattr(obj if obj is not None else cls, self.name)
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
 
 class Record:
@@ -28,14 +33,16 @@ class Record:
 
     A subclass lists its fields in __slots__, with "__dict__" after them
     when it needs one (functools.cached_property does).  The inherited
-    __init__ takes the fields positionally in that order or by keyword and
-    stores each as given; a missing, unknown or doubled field raises
-    TypeError.  A subclass writes its own __init__, whose parameters are
-    the fields in that order, only to check, normalise or default them.
-    The one exception is qlambda.Scalar, whose constructor takes a
-    Fraction form (num, den) and normalises it into its integer fields
-    (_n, _d); reading the canonical pair back as coefficients gives the
-    same pair, so pickling by the fields holds for it too.
+    __init__ passes its arguments to the class's generated storer
+    _store(self, *fields), so Python binds the fields by position or
+    keyword, and a missing, unknown, doubled or extra one raises TypeError
+    naming the class.  A subclass writes its own __init__, whose
+    parameters are the fields in that order, only to check, normalise or
+    default them, and ends it with self._store(...).  The one exception is
+    qlambda.Scalar, whose constructor takes a Fraction form (num, den) and
+    normalises it into its integer fields (_n, _d); reading the canonical
+    pair back as coefficients gives the same pair, so pickling by the
+    fields holds for it too.
     Assigning or deleting an attribute afterwards raises AttributeError.
     Two records are equal when they are of one class and their fields are
     equal, and the hash is that of the tuple of fields.  Both read the
@@ -45,11 +52,12 @@ class Record:
     Each subclass also has the static method _trusted(*fields), which
     stores the fields as given and runs no __init__: for values valid by
     how the library computed them.  Outside input goes through the class
-    itself, whose __init__ checks it.
+    itself, whose __init__ checks it.  No other code stores a field.
     """
 
     __slots__ = ()
-    _trusted = _Trusted()
+    _trusted = _Generated()
+    _store = _Generated()
 
     def __init_subclass__(cls):
         fields = tuple(n for n in cls.__slots__ if n != "__dict__")
@@ -57,20 +65,8 @@ class Record:
         cls._key = (vars(cls)[fields[0]] if len(fields) == 1
                     else property(attrgetter(*fields)))
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            values = dict(zip(fields, args))
-            if (len(args) > len(fields) or values.keys() & kwargs.keys()
-                    or values.keys() | kwargs.keys() != set(fields)):
-                raise TypeError(
-                    f"{type(self).__qualname__}() takes each of the fields "
-                    f"{fields} once; got {len(args)} positional and "
-                    f"{sorted(kwargs)} by keyword")
-            values.update(kwargs)
-            args = [values[n] for n in fields]
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+    def __init__(self, /, *args, **kwargs):
+        self._store(*args, **kwargs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -27,9 +27,7 @@ class K0Class(Record):
             raise TypeError("coordinates must be integers")
         if len(a) != 4:
             raise ValueError("need exactly four eps_i coefficients")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n", n)
+        self._store(a0, a, n)
 
     @property
     def coords(self) -> tuple[int, int, int, int, int, int]:

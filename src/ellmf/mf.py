@@ -75,9 +75,7 @@ class GradedMatrix(Record):
         for row in entries:
             if len(row) != len(col_twists):
                 raise ValueError("column count mismatch")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "row_twists", row_twists)
-        object.__setattr__(self, "col_twists", col_twists)
+        self._store(entries, row_twists, col_twists)
 
     @property
     def nrows(self) -> int:
@@ -339,8 +337,7 @@ class PointP1(Record):
             p0, p1 = p0 / p1, ONE
         else:
             p0 = ONE
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
+        self._store(p0, p1)
 
 
 def verify_mf(m: MatrixFactorization) -> Certificate:

@@ -33,8 +33,7 @@ class BivariatePoly(Record):
             if (i, j) in merged:
                 c = merged[(i, j)] + c
             merged[(i, j)] = c
-        items = tuple(sorted((k, c) for k, c in merged.items() if c))
-        object.__setattr__(self, "terms", items)
+        self._store(tuple(sorted((k, c) for k, c in merged.items() if c)))
 
     @classmethod
     def zero(cls) -> "BivariatePoly":

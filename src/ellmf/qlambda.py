@@ -179,8 +179,7 @@ class Scalar(Record):
         scale = lcm(*(v.denominator for v in num + den))
         s = _canon(tuple(v.numerator * (scale // v.denominator) for v in num),
                    tuple(v.numerator * (scale // v.denominator) for v in den))
-        object.__setattr__(self, "_n", s._n)
-        object.__setattr__(self, "_d", s._d)
+        self._store(s._n, s._d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")

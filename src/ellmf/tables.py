@@ -15,9 +15,10 @@ characteristic, the two numbers h = chi(F) and hw = chi(F(w)) fix the whole
 table.  The generic tables of region R2 are the d = 0 case of the h0
 layout, at h = hw = 0.
 
-The public constructors CohomTable(...) and BettiTable(...) check every
-value.  A table derived here from values already checked, by a shift, a
-suspension, a template, a readout, a mirror or the closed-form layout, is
+The public constructors CohomTable(...), BettiTable(...) and
+BettiClass(...) check every value.  A table or class derived here from
+values already checked, by a shift, a suspension, a template, a readout,
+a mirror, the closed-form layout, the catalog or a classifier match, is
 built with _trusted instead: its validity follows from the arithmetic
 that made it, and the test that rebuilds each one through the public
 constructor pins that.  The public functions check their own scalar
@@ -50,6 +51,14 @@ def _pair(x, what: str) -> tuple:
     return a, b
 
 
+def _iter(x, what: str):
+    """An iterator over x, or a TableError naming it."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise TableError(f"{what} must be iterable, got {x!r}") from None
+
+
 class CohomTable(Record):
     """Rows: (h0 F, h0 Fw), (h0 F(c)w, h0 F(c)), (h1 Fw, h1 F),
     (h1 F(c), h1 F(c)w).  Both column sums agree."""
@@ -57,7 +66,7 @@ class CohomTable(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, int], ...]):
-        rows = tuple(_pair(row, "row") for row in rows)
+        rows = tuple(_pair(row, "row") for row in _iter(rows, "rows"))
         if len(rows) != 4:
             raise TableError("need four rows")
         if any(type(v) is not int for row in rows for v in row):
@@ -66,7 +75,7 @@ class CohomTable(Record):
             raise TableError("negative entry")
         if sum(r[0] for r in rows) != sum(r[1] for r in rows):
             raise TableError("column sums differ")
-        object.__setattr__(self, "rows", rows)
+        self._store(rows)
 
     def mirror(self) -> "CohomTable":
         """Swap columns: the table of the canonical twist."""
@@ -83,8 +92,8 @@ class BettiTable(Record):
 
     def __init__(self, entries):
         cells = {}
-        for item in (entries.items() if hasattr(entries, "items")
-                     else entries):
+        for item in _iter(entries.items() if hasattr(entries, "items")
+                          else entries, "entries"):
             cell, v = _pair(item, "entry ((i, j), count)")
             i, j = cell = _pair(cell, "cell (i, j)")
             if type(i) is not int or type(j) is not int or type(v) is not int:
@@ -96,8 +105,7 @@ class BettiTable(Record):
             if v < 0:
                 raise TableError("negative Betti number")
             cells[cell] = v
-        object.__setattr__(self, "entries",
-                           tuple(sorted(c for c in cells.items() if c[1])))
+        self._store(tuple(sorted(c for c in cells.items() if c[1])))
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
@@ -242,12 +250,15 @@ FIRST_KIND_TYPES = (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B,
 
 
 class BettiClass(Record):
+    """The catalog class of template_table(kind, params) shifted by shift."""
+
     __slots__ = ("kind", "params", "shift")
 
     def __init__(self, kind: str, params: tuple[int, ...], shift: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "shift", shift)
+        _check_class(kind, params)
+        if type(shift) is not int:
+            raise TableError(f"shift must be an integer, got {shift!r}")
+        self._store(kind, params, shift)
 
     def __str__(self) -> str:
         inner = ",".join(str(v) for v in self.params)
@@ -271,11 +282,8 @@ _FIRST_KINDS_OF_PARITY = ((FIRST_KIND_EVEN_A, FIRST_KIND_EVEN_B),
                           (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B))
 
 
-def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
-    """Unshifted catalog table for a classification kind.  Once kind and
-    params pass their checks, every cell is a nonnegative integer in
-    sorted order, so the zero cells are dropped and the table is built
-    trusted."""
+def _check_class(kind: str, params: tuple[int, ...]) -> None:
+    """A TableError unless kind and params name a catalog class."""
     if kind not in GENERAL_TYPES and kind not in FIRST_KIND_TYPES:
         raise TableError(f"unknown kind {kind!r}")
     n = 2 if kind in GENERAL_TYPES else 1
@@ -291,15 +299,23 @@ def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
             raise TableError("type I requires b != 0")
         if kind in (TYPE_IV, TYPE_V) and (b - a) % 2 == 0:
             raise TableError(f"type {kind} requires b - a odd")
+    elif params[0] <= 0:
+        raise TableError("first-kind rank must be positive")
+    elif params[0] % 2 != (kind in (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B)):
+        raise TableError("rank parity")
+
+
+def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
+    """Unshifted catalog table for a classification kind.  Once
+    _check_class passes, every cell is a nonnegative integer in sorted
+    order, so the zero cells are dropped and the table is built trusted."""
+    _check_class(kind, params)
+    if kind in GENERAL_TYPES:
         return BettiTable._trusted(tuple(
             (cell, v + k) for cell, v, k in
-            zip(_GENERAL_CELLS, (a, b, a, b), _GENERAL_OFFSETS[kind])
+            zip(_GENERAL_CELLS, params * 2, _GENERAL_OFFSETS[kind])
             if v + k))
     (r,) = params
-    if r <= 0:
-        raise TableError("first-kind rank must be positive")
-    if r % 2 != (kind in (FIRST_KIND_ODD_A, FIRST_KIND_ODD_B)):
-        raise TableError("rank parity")
     if kind == FIRST_KIND_ODD_A:
         cells = (((0, 0), 1), ((0, 1), r - 1), ((0, 2), 1), ((1, 3), r + 1))
     elif kind == FIRST_KIND_ODD_B:
@@ -344,7 +360,7 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
         for kind, params in candidates:
             try:
                 if template_table(kind, params).entries == shifted:
-                    matches.append(BettiClass(kind, params, m))
+                    matches.append(BettiClass._trusted(kind, params, m))
             except TableError:
                 pass
     if not matches:
@@ -383,19 +399,13 @@ class IndecCount(Record):
 
     def __init__(self, finite: int | None, level: int | None = None,
                  base: str | None = None):
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "base", base)
+        self._store(finite, level, base)
 
 
 def indec_count(c: BettiClass) -> IndecCount:
     """How many indecomposables share the table of a classification."""
-    if c.kind in FIRST_KIND_TYPES:
-        return IndecCount(finite=1)
-    if c.kind in (TYPE_II, TYPE_III):
-        return IndecCount(finite=4)
-    if c.kind in (TYPE_IV, TYPE_V):
-        return IndecCount(finite=1)
+    if c.kind != TYPE_I:
+        return IndecCount(finite=4 if c.kind in (TYPE_II, TYPE_III) else 1)
     a, b = c.params
     r, d = b - a, 2 * a
     if r % 2 == 1:
@@ -437,10 +447,10 @@ def catalog(a_max: int, b_max: int, r_max: int):
     out = []
     for kind, params in candidates:
         try:
-            out.append((BettiClass(kind, params),
-                        template_table(kind, params)))
+            table = template_table(kind, params)
         except TableError:
-            pass
+            continue
+        out.append((BettiClass._trusted(kind, params, 0), table))
     return out
 
 

@@ -27,7 +27,7 @@ class MutationWord(Record):
     def __init__(self, runs: tuple[tuple[str, int], ...]):
         if any(ch not in ("R", "S") or k < 1 for ch, k in runs):
             raise ValueError("runs must be (R or S, k >= 1)")
-        object.__setattr__(self, "runs", runs)
+        self._store(runs)
 
     def __str__(self) -> str:
         return "".join(ch * k for ch, k in self.runs)

@@ -10,11 +10,7 @@ import pytest
 
 from ellmf import cli
 from ellmf.cli import mf_to_json, run
-from ellmf.mf import (
-    F, KST, GradedMatrix, MatrixFactorization, direct_sum, mf_linear,
-)
-from ellmf.poly import BivariatePoly
-from ellmf.qlambda import LAMBDA
+from ellmf.mf import KST
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -324,24 +320,12 @@ def test_mf_betti_rejects_non_factorization(capsys, tmp_path):
 
 
 def test_reduce_without_file_form_exit_1(capsys, tmp_path):
-    """mf_linear(1) + (1, f), scrambled by P = [[L-2, L-1], [L-3, L-2]] of
-    determinant 1: A' = P*A and B' = B*P^-1 stay polynomial in lambda, but
-    the only units are L-1 and L-2, so the reduced A is -X/(L-1), which
-    holds at every admissible lambda and has no file form."""
-    def const(a, b):
-        """The constant a + b*lambda."""
-        return BivariatePoly.monomial(0, 0, LAMBDA * b + a)
-
-    trivial = MatrixFactorization(GradedMatrix(((const(1, 0),),), (0,), (0,)),
-                                  GradedMatrix(((F,),), (0,), (4,)), F)
-    m = direct_sum(mf_linear(1), trivial)
-    p = GradedMatrix(((const(-2, 1), const(-1, 1)),
-                      (const(-3, 1), const(-2, 1))), (0, 0), (0, 0))
-    p_inv = GradedMatrix(((const(-2, 1), const(1, -1)),
-                          (const(3, -1), const(-2, 1))), (4, 4), (4, 4))
-    scrambled = MatrixFactorization(p.compose(m.A), m.B.compose(p_inv), F)
+    """The input scrambled of cli_matrix.json, built by
+    test_cli_matrix.make_inputs: its reduced A is -X/(L-1), which has no
+    file form."""
+    doc = json.loads((GOLDEN / "cli_matrix.json").read_text())
     path = tmp_path / "scrambled.json"
-    path.write_text(json.dumps(mf_to_json(scrambled, None)))
+    path.write_text(doc["inputs"]["scrambled"])
     assert run(["mf", "verify", str(path)]) == 0
     capsys.readouterr()
     for fmt in ("text", "json"):

@@ -23,6 +23,8 @@ import pytest
 
 from ellmf import mf, tables
 from ellmf.cli import betti_to_json, mf_to_json, run
+from ellmf.poly import BivariatePoly
+from ellmf.qlambda import LAMBDA
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "cli_matrix.json"
@@ -58,6 +60,8 @@ MATRIX = [
     ["mf", "reduce", "{broken}"],
     ["mf", "betti", "{reduced}"],
     ["mf", "betti", "{cone}"],
+    ["mf", "verify", "{scrambled}"],
+    ["mf", "reduce", "{scrambled}"],
 ]
 
 
@@ -70,6 +74,25 @@ def make_inputs() -> dict[str, str]:
     def table(d):
         return json.dumps(betti_to_json(tables.BettiTable(d)))
 
+    # mf_linear(1) + (1, f), scrambled by P = [[L-2, L-1], [L-3, L-2]] of
+    # determinant 1: A' = P*A and B' = B*P^-1 stay polynomial in lambda,
+    # but the only units are L-1 and L-2, so the reduced A is -X/(L-1),
+    # which holds at every admissible lambda and has no file form.  verify
+    # exits 0 and reduce exits 1.
+    def const(a, b):
+        """The constant a + b*lambda."""
+        return BivariatePoly.monomial(0, 0, LAMBDA * b + a)
+
+    G = mf.GradedMatrix
+    m = mf.direct_sum(mf.mf_linear(1), mf.MatrixFactorization(
+        G(((const(1, 0),),), (0,), (0,)), G(((mf.F,),), (0,), (4,)), mf.F))
+    p = G(((const(-2, 1), const(-1, 1)), (const(-3, 1), const(-2, 1))),
+          (0, 0), (0, 0))
+    p_inv = G(((const(-2, 1), const(1, -1)), (const(3, -1), const(-2, 1))),
+              (4, 4), (4, 4))
+    scrambled = mf.MatrixFactorization(p.compose(m.A), m.B.compose(p_inv),
+                                       mf.F)
+
     return {
         "cone": json.dumps(mf_to_json(cone, None)),
         "reduced": json.dumps(mf_to_json(mf.reduce_mf(cone), None)),
@@ -78,6 +101,7 @@ def make_inputs() -> dict[str, str]:
         "table_first": table({(0, 0): 1, (0, 1): 2, (1, 3): 2, (1, 4): 1}),
         "table_bad": table({(0, 0): 1, (1, 7): 1}),
         "not_json": "{",
+        "scrambled": json.dumps(mf_to_json(scrambled, None)),
     }
 
 

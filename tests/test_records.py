@@ -178,6 +178,24 @@ def test_trusted_stores_the_fields_as_given(name):
         assert cls._trusted((((0, 0), 0),)).entries == (((0, 0), 0),)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_store_sets_the_fields_of_a_new_object(name):
+    """_store, compiled with _trusted from one source, sets the fields of
+    an object made by object.__new__ to the value the public constructor
+    builds; every __init__ ends by calling it."""
+    build, _, fields, text = CASES[name]
+    x = build()
+    cls, values = type(x), [getattr(x, f) for f in fields]
+    assert cls._store.__code__.co_filename == \
+        cls._trusted.__code__.co_filename == f"<{cls.__qualname__}._trusted>"
+    assert cls._store.__qualname__ == cls.__qualname__
+    y = object.__new__(cls)
+    assert cls._store(y, *values) is None
+    assert y == x and repr(y) == text and hash(y) == hash(x)
+    with pytest.raises(AttributeError):
+        setattr(y, fields[0], values[0])
+
+
 @pytest.mark.parametrize("s", [Scalar([1, 2], [0, 2]), Scalar([2], [4])])
 def test_scalar_copies_rebuild_through_the_constructor(s):
     """pickle and deepcopy rebuild a Scalar as Scalar(_n, _d), which keeps
@@ -211,8 +229,10 @@ def test_inherited_init_binds_each_field_once(name):
             (values, {"extra": 0}),                         # unknown
             ([*values, 0], {}),                             # one too many
             (values, {fields[0]: values[0]})]:              # doubled
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as info:
             cls(*args, **kwargs)
+        # Python binds the fields in the storer, named for the class.
+        assert str(info.value).startswith(f"{name}("), info.value
 
 
 def test_certificate_cache_is_not_a_field():
@@ -241,6 +261,8 @@ def test_certificate_cache_is_not_a_field():
      "repeated cell"),
     (lambda: BettiTable((((0, 0), 1), ((0, 0), 0))), TableError,
      "repeated cell"),
+    (lambda: BettiTable(5), TableError, "entries must be iterable, got 5"),
+    (lambda: CohomTable(5), TableError, "rows must be iterable, got 5"),
     (lambda: CohomTable(((1, 1), (0, 0), (0, 0))), TableError,
      "need four rows"),
     (lambda: CohomTable(((1, 1), (0, 0), (0, 0), (0.0, 0))), TableError,
@@ -249,6 +271,26 @@ def test_certificate_cache_is_not_a_field():
      "negative entry"),
     (lambda: CohomTable(((1, 0), (0, 0), (0, 0), (0, 0))), TableError,
      "column sums differ"),
+    # A class outside the catalog, refused with template_table's messages.
+    (lambda: BettiClass("bogus", (1, 2)), TableError, "unknown kind 'bogus'"),
+    (lambda: BettiClass("I", [1, 1]), TableError,
+     "params of kind I must be a tuple of 2 integers, got [1, 1]"),
+    (lambda: BettiClass("first-kind-odd-a", (3, 1)), TableError,
+     "params of kind first-kind-odd-a must be a tuple of 1 integers, "
+     "got (3, 1)"),
+    (lambda: BettiClass("II", (-1, 1)), TableError,
+     "parameters must be nonnegative"),
+    (lambda: BettiClass("I", (0, 0)), TableError, "type I requires b != 0"),
+    (lambda: BettiClass("IV", (1, 1)), TableError,
+     "type IV requires b - a odd"),
+    (lambda: BettiClass("first-kind-odd-a", (0,)), TableError,
+     "first-kind rank must be positive"),
+    (lambda: BettiClass("first-kind-even-a", (3,)), TableError,
+     "rank parity"),
+    (lambda: BettiClass("I", (1, 1), 0.5), TableError,
+     "shift must be an integer, got 0.5"),
+    (lambda: BettiClass("I", (1, 1), True), TableError,
+     "shift must be an integer, got True"),
     (lambda: PointP1(0, 0), ValueError, "(0, 0) is not a projective point"),
     (lambda: MutationWord((("T", 1),)), ValueError,
      "runs must be (R or S, k >= 1)"),

@@ -562,10 +562,17 @@ def _assert_sound(t):
     assert all(type(v) is int for v in values), t
 
 
+def _assert_sound_class(c):
+    """A class the library built trusted equals its validated rebuild."""
+    assert type(c) is BettiClass and BettiClass(c.kind, c.params,
+                                                c.shift) == c, c
+
+
 def test_trusted_tables_equal_their_validated_rebuilds(monkeypatch):
     """Every table built here through _trusted: translates, suspensions,
     templates, readouts, mirrors and the Euler and closed-form tables, and
-    each candidate and shift that the classifier builds."""
+    each candidate and shift that the classifier builds; and every class
+    that the catalog and the classifier build through _trusted."""
     seen = dict.fromkeys(("template_table", "translate_betti", "catalog",
                           "cohom", "euler"), 0)
     for name in ("template_table", "translate_betti"):
@@ -583,14 +590,16 @@ def test_trusted_tables_equal_their_validated_rebuilds(monkeypatch):
         b = betti_from_cohom(t)
         _assert_sound(b)
         if not b.is_empty():
-            normalize_and_classify(b)
+            _assert_sound_class(normalize_and_classify(b))
 
     classes = catalog(6, 6, 12)
     for c, t in classes:
+        _assert_sound_class(c)
         for m in range(-3, 4):
             shifted = tables.translate_betti(t, m)
             _assert_sound(suspend_betti(shifted))
             got = normalize_and_classify(shifted)
+            _assert_sound_class(got)
             assert (got.kind, got.params, got.shift) == (c.kind, c.params, -m)
             seen["catalog"] += 1
     for r, d in fundamental_pairs(12, 30):
