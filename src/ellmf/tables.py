@@ -23,6 +23,8 @@ built with _trusted instead: its validity follows from the arithmetic
 that made it, and the test that rebuilds each one through the public
 constructor pins that.  The public functions check their own scalar
 arguments (a type, a shift, template parameters) before they build.
+The classifier builds classes only: it confirms a decoded candidate from
+the table's own entries, without building a template or a shifted table.
 """
 from __future__ import annotations
 
@@ -305,17 +307,9 @@ def _check_class(kind: str, params: tuple[int, ...]) -> None:
         raise TableError("rank parity")
 
 
-def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
-    """Unshifted catalog table for a classification kind.  Once
-    _check_class passes, every cell is a nonnegative integer in sorted
-    order, so the zero cells are dropped and the table is built trusted."""
-    _check_class(kind, params)
-    if kind in GENERAL_TYPES:
-        return BettiTable._trusted(tuple(
-            (cell, v + k) for cell, v, k in
-            zip(_GENERAL_CELLS, params * 2, _GENERAL_OFFSETS[kind])
-            if v + k))
-    (r,) = params
+def _first_kind_cells(kind: str, r: int) -> tuple:
+    """The nonzero cells ((i, j), count) of the first-kind shape kind at
+    rank r, in sorted order; the one statement of the four shapes."""
     if kind == FIRST_KIND_ODD_A:
         cells = (((0, 0), 1), ((0, 1), r - 1), ((0, 2), 1), ((1, 3), r + 1))
     elif kind == FIRST_KIND_ODD_B:
@@ -325,7 +319,21 @@ def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
     else:
         # Suspension of the even-A shape; forced by rank/degree recovery.
         cells = (((0, 0), r), ((0, 1), 1), ((1, 1), 1), ((1, 2), r))
-    return BettiTable._trusted(tuple(c for c in cells if c[1]))
+    return tuple(c for c in cells if c[1])
+
+
+def template_table(kind: str, params: tuple[int, ...]) -> BettiTable:
+    """Unshifted catalog table for a classification kind, from
+    _GENERAL_OFFSETS or _first_kind_cells.  Once _check_class passes,
+    every cell is a nonnegative integer in sorted order, so the zero cells
+    are dropped and the table is built trusted."""
+    _check_class(kind, params)
+    if kind in GENERAL_TYPES:
+        return BettiTable._trusted(tuple(
+            (cell, v + k) for cell, v, k in
+            zip(_GENERAL_CELLS, params * 2, _GENERAL_OFFSETS[kind])
+            if v + k))
+    return BettiTable._trusted(_first_kind_cells(kind, params[0]))
 
 
 def normalize_and_classify(t: BettiTable) -> BettiClass:
@@ -333,36 +341,43 @@ def normalize_and_classify(t: BettiTable) -> BettiClass:
 
     Every catalog table's support starts at j = 0 or j = 1, so the shift
     can only be min j or min j - 1.  At each of those two shifts the
-    candidates are decoded, not searched for: (a, b) = (min(b00, b12),
-    min(b01, b13)), and the offsets of (b00, b01, b12, b13) over
-    (a, b, a, b) name the one general kind I-V that can match, by the
-    inverse of _GENERAL_OFFSETS; r = sum_j b0j - 1, and its parity names
-    the two first-kind shapes that can.  Each of these at most three
-    candidates is confirmed against template_table, the only statement of
-    the shapes.  Exactly one candidate may match.
+    candidates are decoded and confirmed from the shifted entries; no
+    table is built.  (a, b) = (min(b00, b12), min(b01, b13)), and the
+    offsets of (b00, b01, b12, b13) over (a, b, a, b) name the one general
+    kind I-V that can match, by the inverse of _GENERAL_OFFSETS; those four
+    cells are then the template's, so it matches when the table has no
+    other cell.  r = sum_j b0j - 1, and its parity names the two
+    first-kind shapes that can, compared with _first_kind_cells.  A match
+    must pass _check_class, which refuses the decodes I(a, 0), IV and V
+    with b - a even, and rank 0.  Exactly one candidate may match.
     """
     if t.is_empty():
         raise TableError("empty table")
     if not t.is_balanced():
         raise TableError("column sums differ")
-    r = sum(v for (i, _), v in t.entries if i == 0) - 1
-    lo, matches = min(j for (_, j), _ in t.entries), []
+    entries = t.entries
+    r = sum(v for (i, _), v in entries if i == 0) - 1
+    lo, matches = min(j for (_, j), _ in entries), []
     for m in (lo - 1, lo):
-        shifted = translate_betti(t, m).entries
+        shifted = tuple(((i, j - m), v) for (i, j), v in entries)
         e = dict(shifted)
         b00, b01 = e.get((0, 0), 0), e.get((0, 1), 0)
         b12, b13 = e.get((1, 2), 0), e.get((1, 3), 0)
         a, b = min(b00, b12), min(b01, b13)
         general = _GENERAL_KIND_OF.get((b00 - a, b01 - b, b12 - a, b13 - b))
-        candidates = [(kind, (r,)) for kind in _FIRST_KINDS_OF_PARITY[r % 2]]
-        if general is not None:
-            candidates.insert(0, (general, (a, b)))
+        candidates = []
+        if general is not None and len(shifted) == (
+                (b00 > 0) + (b01 > 0) + (b12 > 0) + (b13 > 0)):
+            candidates.append((general, (a, b)))
+        for kind in _FIRST_KINDS_OF_PARITY[r % 2]:
+            if _first_kind_cells(kind, r) == shifted:
+                candidates.append((kind, (r,)))
         for kind, params in candidates:
             try:
-                if template_table(kind, params).entries == shifted:
-                    matches.append(BettiClass._trusted(kind, params, m))
+                _check_class(kind, params)
             except TableError:
-                pass
+                continue
+            matches.append(BettiClass._trusted(kind, params, m))
     if not matches:
         raise TableError("not an indecomposable table")
     if len(matches) > 1:

@@ -18,14 +18,19 @@ S_MATRIX = ((1, 0), (1, 1))
 
 
 class MutationWord(Record):
-    """Word in the letters R, S, stored as runs (letter, k) of k >= 1 equal
-    letters; rendered left-to-right outermost-first, so the rightmost letter
-    acts first."""
+    """Word in the letters R, S, stored as a tuple of runs (letter, k) of
+    k >= 1 equal letters, k an int; rendered left-to-right outermost-first,
+    so the rightmost letter acts first."""
 
     __slots__ = ("runs",)
 
     def __init__(self, runs: tuple[tuple[str, int], ...]):
-        if any(ch not in ("R", "S") or k < 1 for ch, k in runs):
+        try:
+            runs = tuple((ch, k) for ch, k in runs)
+        except (TypeError, ValueError):
+            raise ValueError("runs must be (R or S, k >= 1)") from None
+        if any(ch not in ("R", "S") or type(k) is not int or k < 1
+               for ch, k in runs):
             raise ValueError("runs must be (R or S, k >= 1)")
         self._store(runs)
 
@@ -50,7 +55,8 @@ def word_for_slope(q) -> MutationWord:
     """The unique word sending slope 1 to q > 0, by the reverse Euclidean
     walk on q = a/b: while a > b strip the k = (a - 1) // b outer S-steps
     that keep q >= 1, while a < b the k = (b - 1) // a outer R-steps, until
-    q = 1.  The k are the partial quotients of q, the last one less one."""
+    q = 1.  The k are the partial quotients of q, the last one less one,
+    each a positive int by the walk, so the word is built trusted."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("slope must be positive")
@@ -65,7 +71,7 @@ def word_for_slope(q) -> MutationWord:
             k = (b - 1) // a
             runs.append(("R", k))
             b -= k * a
-    return MutationWord(tuple(runs))
+    return MutationWord._trusted(tuple(runs))
 
 
 def phi_from_infinity(q):

@@ -296,6 +296,18 @@ def test_certificate_cache_is_not_a_field():
      "runs must be (R or S, k >= 1)"),
     (lambda: MutationWord((("R", 0),)), ValueError,
      "runs must be (R or S, k >= 1)"),
+    # Run lengths are ints, and each run is one (letter, k) pair.
+    (lambda: MutationWord((("R", 2.0),)), ValueError,
+     "runs must be (R or S, k >= 1)"),
+    (lambda: MutationWord((("S", 1.5),)), ValueError,
+     "runs must be (R or S, k >= 1)"),
+    (lambda: MutationWord((("R", True),)), ValueError,
+     "runs must be (R or S, k >= 1)"),
+    (lambda: MutationWord("RS"), ValueError,
+     "runs must be (R or S, k >= 1)"),
+    (lambda: MutationWord((("R", 2, 3),)), ValueError,
+     "runs must be (R or S, k >= 1)"),
+    (lambda: MutationWord(5), ValueError, "runs must be (R or S, k >= 1)"),
     (lambda: GradedMatrix(((X,),), (0, 1), (1,)), ValueError,
      "row count mismatch"),
     (lambda: GradedMatrix(((X, X),), (0,), (1,)), ValueError,

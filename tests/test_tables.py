@@ -311,13 +311,13 @@ def test_classification_rejects():
 
 def test_ambiguous_classification_is_table_error(monkeypatch, tmp_path,
                                                 capsys):
-    """Two matching templates raise TableError, so the CLI exits 1."""
-    real = tables.template_table
+    """Two matching candidates raise TableError, so the CLI exits 1."""
+    real = tables._first_kind_cells
     # The decoder confirms I(1, 1) and, patched, first-kind-odd-a(1) as well.
-    monkeypatch.setattr(tables, "template_table", lambda kind, params:
-                        real("I", (1, 1))
-                        if (kind, params) == ("first-kind-odd-a", (1,))
-                        else real(kind, params))
+    monkeypatch.setattr(tables, "_first_kind_cells", lambda kind, r:
+                        template_table("I", (1, 1)).entries
+                        if (kind, r) == ("first-kind-odd-a", 1)
+                        else real(kind, r))
     table = B({(0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 1})
     with pytest.raises(TableError, match="ambiguous classification"):
         normalize_and_classify(table)
@@ -327,27 +327,22 @@ def test_ambiguous_classification_is_table_error(monkeypatch, tmp_path,
     assert "ambiguous classification" in capsys.readouterr().err
 
 
-def test_classification_confirms_at_most_three_per_shift(monkeypatch):
-    real_template = tables.template_table
-    real_translate = tables.translate_betti
-    classes, calls = catalog(8, 8, 24), []
+def test_classification_builds_no_table(monkeypatch):
+    """The classifier confirms a decoded candidate from the table's own
+    entries: with every way to build a table patched to raise, each
+    catalog table at each of four shifts still classifies."""
+    cases = [(c, m, translate_betti(t, -m)) for c, t in catalog(8, 8, 24)
+             for m in (-5, 0, 1, 9)]
 
-    def template(kind, params):
-        calls[-1] += 1
-        return real_template(kind, params)
+    def refuse(*args):
+        raise AssertionError("the classifier built a table")
 
-    def translate(t, m):
-        calls.append(0)
-        return real_translate(t, m)
-
-    monkeypatch.setattr(tables, "template_table", template)
-    monkeypatch.setattr(tables, "translate_betti", translate)
-    for c, t in classes:
-        for m in (-5, 0, 1, 9):
-            calls.clear()
-            got = normalize_and_classify(real_translate(t, -m))
-            assert (got.kind, got.params, got.shift) == (c.kind, c.params, m)
-            assert len(calls) == 2 and max(calls) <= 3, (c, m, calls)
+    monkeypatch.setattr(tables, "template_table", refuse)
+    monkeypatch.setattr(tables, "translate_betti", refuse)
+    monkeypatch.setattr(BettiTable, "_trusted", staticmethod(refuse))
+    for c, m, table in cases:
+        got = normalize_and_classify(table)
+        assert (got.kind, got.params, got.shift) == (c.kind, c.params, m)
 
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")
@@ -570,9 +565,12 @@ def _assert_sound_class(c):
 
 def test_trusted_tables_equal_their_validated_rebuilds(monkeypatch):
     """Every table built here through _trusted: translates, suspensions,
-    templates, readouts, mirrors and the Euler and closed-form tables, and
-    each candidate and shift that the classifier builds; and every class
-    that the catalog and the classifier build through _trusted."""
+    templates, readouts, mirrors and the Euler and closed-form tables; and
+    every class that the catalog and the classifier build through
+    _trusted.  The templates and translates are those of the catalog and
+    of this test, which classifies each shifted catalog table, its
+    suspension and each readout of a table and its mirror, and rebuilds
+    each class as its template shifted back; the classifier builds none."""
     seen = dict.fromkeys(("template_table", "translate_betti", "catalog",
                           "cohom", "euler"), 0)
     for name in ("template_table", "translate_betti"):
@@ -584,22 +582,32 @@ def test_trusted_tables_equal_their_validated_rebuilds(monkeypatch):
 
         monkeypatch.setattr(tables, name, checked)
 
+    def classify(t):
+        built = seen["template_table"], seen["translate_betti"]
+        got = normalize_and_classify(t)
+        assert (seen["template_table"], seen["translate_betti"]) == built
+        _assert_sound_class(got)
+        assert tables.translate_betti(
+            tables.template_table(got.kind, got.params), -got.shift) == t
+        return got
+
     def sound_readout(t):
-        _assert_sound(t)
-        _assert_sound(t.mirror())
-        b = betti_from_cohom(t)
-        _assert_sound(b)
-        if not b.is_empty():
-            _assert_sound_class(normalize_and_classify(b))
+        for u in (t, t.mirror()):
+            _assert_sound(u)
+            b = betti_from_cohom(u)
+            _assert_sound(b)
+            if not b.is_empty():
+                classify(b)
 
     classes = catalog(6, 6, 12)
     for c, t in classes:
         _assert_sound_class(c)
         for m in range(-3, 4):
             shifted = tables.translate_betti(t, m)
-            _assert_sound(suspend_betti(shifted))
-            got = normalize_and_classify(shifted)
-            _assert_sound_class(got)
+            suspended = suspend_betti(shifted)
+            _assert_sound(suspended)
+            classify(suspended)
+            got = classify(shifted)
             assert (got.kind, got.params, got.shift) == (c.kind, c.params, -m)
             seen["catalog"] += 1
     for r, d in fundamental_pairs(12, 30):

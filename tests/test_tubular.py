@@ -96,6 +96,19 @@ def test_phi_from_infinity_large_positive_slope():
     assert r > 0 and Fraction(d, r) == q
 
 
+def test_word_runs_are_a_tuple_of_pairs():
+    # A list of runs is stored as a tuple of pairs, so the word hashes,
+    # and a word built by word_for_slope equals its validated rebuild.
+    w = MutationWord([["R", 2], ("S", 1)])
+    assert w.runs == (("R", 2), ("S", 1)) and type(w.runs) is tuple
+    assert all(type(run) is tuple for run in w.runs)
+    assert hash(w) == hash(MutationWord((("R", 2), ("S", 1))))
+    rng = random.Random(28)
+    for _ in range(200):
+        v = word_for_slope(Fraction(rng.randint(1, 500), rng.randint(1, 500)))
+        assert MutationWord(v.runs) == v
+
+
 def test_bad_word_letters():
     with pytest.raises(ValueError):
         MutationWord((("R", 1), ("Q", 1)))
