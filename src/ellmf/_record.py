@@ -1,31 +1,4 @@
 """The base of the package's immutable value classes."""
-from operator import attrgetter
-
-
-class _Generated:
-    """Record._trusted and Record._store, compiled from one source per
-    class on its first read of either name (so start-up compiles none for
-    classes never built) and then stored on it.  Both set the slots in the
-    same straight lines.  The file and _trusted are named <Class._trusted>
-    for profiles; the storer takes the class's name, which errors show."""
-
-    def __get__(self, obj, cls):
-        fields, name = cls._fields, cls.__qualname__
-        scope = {"_new": object.__new__, "_cls": cls}
-        scope.update((f"_set_{n}", vars(cls)[n].__set__) for n in fields)
-        args = ", ".join(fields)
-        sets = "".join(f"    _set_{n}(_obj, {n})\n" for n in fields)
-        exec(compile(f"def _trusted({args}):\n    _obj = _new(_cls)\n"
-                     f"{sets}    return _obj\n"
-                     f"def {cls.__name__}(_obj, /, {args}):\n{sets}",
-                     f"<{name}._trusted>", "exec"), scope)
-        scope["_trusted"].__qualname__ = f"{name}._trusted"
-        cls._trusted = staticmethod(scope["_trusted"])
-        cls._store = scope[cls.__name__]
-        return getattr(obj if obj is not None else cls, self.name)
-
-    def __set_name__(self, owner, name):
-        self.name = name
 
 
 class Record:
@@ -45,37 +18,46 @@ class Record:
     fields holds for it too.
     Assigning or deleting an attribute afterwards raises AttributeError.
     Two records are equal when they are of one class and their fields are
-    equal, and the hash is that of the tuple of fields.  Both read the
-    class's _key: the slot itself for one field, so == costs one slot read
-    a side, else the tuple of fields, built by one attrgetter.
+    equal, and the hash is that of the tuple of fields.
 
-    Each subclass also has the static method _trusted(*fields), which
-    stores the fields as given and runs no __init__: for values valid by
-    how the library computed them.  Outside input goes through the class
-    itself, whose __init__ checks it.  No other code stores a field.
+    When a subclass is defined, __init_subclass__ compiles one source from
+    its fields into four functions and sets them on it, over any the class
+    body wrote: the storer, named for the class; the static method
+    _trusted(*fields), which stores the fields as given and runs no
+    __init__, for values valid by how the library computed them; and
+    __eq__ and __hash__, each reading the fields in one straight line.
+    The file and _trusted are named <Class._trusted> for profiles.
+    Outside input goes through the class itself, whose __init__ checks it.
+    No other code stores a field.
     """
 
     __slots__ = ()
-    _trusted = _Generated()
-    _store = _Generated()
 
     def __init_subclass__(cls):
         fields = tuple(n for n in cls.__slots__ if n != "__dict__")
-        cls._fields = fields
-        cls._key = (vars(cls)[fields[0]] if len(fields) == 1
-                    else property(attrgetter(*fields)))
+        cls._fields, name = fields, cls.__qualname__
+        scope = {"_new": object.__new__, "_cls": cls}
+        scope.update((f"_set_{n}", vars(cls)[n].__set__) for n in fields)
+        args = ", ".join(fields)
+        sets = "".join(f"    _set_{n}(_obj, {n})\n" for n in fields)
+        same = " and ".join(f"self.{n} == other.{n}" for n in fields)
+        key = "".join(f"self.{n}, " for n in fields)
+        exec(compile(f"def _trusted({args}):\n    _obj = _new(_cls)\n"
+                     f"{sets}    return _obj\n"
+                     f"def {cls.__name__}(_obj, /, {args}):\n{sets}"
+                     f"def _eq(self, other):\n"
+                     f"    if other.__class__ is not _cls:\n"
+                     f"        return NotImplemented\n"
+                     f"    return {same}\n"
+                     f"def _hash(self):\n    return hash(({key}))\n",
+                     f"<{name}._trusted>", "exec"), scope)
+        scope["_trusted"].__qualname__ = f"{name}._trusted"
+        cls._trusted = staticmethod(scope["_trusted"])
+        cls._store = scope[cls.__name__]
+        cls.__eq__, cls.__hash__ = scope["_eq"], scope["_hash"]
 
     def __init__(self, /, *args, **kwargs):
         self._store(*args, **kwargs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        key = self._key
-        return hash((key,) if len(self._fields) == 1 else key)
 
     def __repr__(self):
         args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

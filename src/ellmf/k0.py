@@ -60,8 +60,12 @@ def simple_class(i: int, j: int) -> K0Class:
     """Class of the simple torsion sheaf S_{i,j} over the i-th special point.
 
     The tube has rank two, so only j mod 2 matters: [S_{i,1}] = eps_i and
-    [S_{i,0}] = delta - eps_i.
+    [S_{i,0}] = delta - eps_i.  Both indices are ints.
     """
+    for name, v in (("i", i), ("j", j)):
+        if type(v) is not int:
+            raise ValueError(
+                f"special point index {name} must be an integer, got {v!r}")
     if i not in (1, 2, 3, 4):
         raise ValueError("special point index must be 1..4")
     e = tuple(1 if k == i - 1 else 0 for k in range(4))

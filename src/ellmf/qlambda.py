@@ -6,7 +6,8 @@ over the rationals, D has a positive leading coefficient and the integer
 coefficients of N and D together have gcd 1.  Zero is () / (1,).  Scalar
 is a Record whose fields _n and _d hold N and D; its constructor takes
 Fraction coefficient sequences and normalises them into that form, and
-Scalar._trusted stores a pair already in it.
+Scalar._trusted stores a pair already in it.  As the form is unique, ==
+and hash are Record's, generated for the pair (_n, _d).
 
 Arithmetic runs on Python ints, fraction-free in the style of Bareiss.
 Every sum and product, `+`, `-` and `*` included, is one sum of products,
@@ -166,8 +167,7 @@ def dot(pairs) -> "Scalar":
 
 class Scalar(Record):
     """N/D in the canonical form of the module docstring, in the fields
-    _n and _d.  == and hash mean what Record's do, written out to compare
-    the two slots directly, as the cone pipeline does often."""
+    _n and _d."""
 
     __slots__ = ("_n", "_d")
 
@@ -181,9 +181,6 @@ class Scalar(Record):
                    tuple(v.numerator * (scale // v.denominator) for v in den))
         self._store(s._n, s._d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
     @property
     def num(self) -> Poly:
         lead = self._d[-1]
@@ -196,14 +193,6 @@ class Scalar(Record):
 
     def __repr__(self) -> str:
         return f"Scalar(num={self.num!r}, den={self.den!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not Scalar:
-            return NotImplemented
-        return self._n == other._n and self._d == other._d
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._d))
 
     @classmethod
     def of(cls, v) -> "Scalar":

@@ -51,13 +51,22 @@ class MutationWord(Record):
         return Fraction(d, r)
 
 
+def _slope(q) -> Fraction:
+    """q as a Fraction.  Only an int or a Fraction is taken: a float would
+    be read as its binary fraction, and a bool as 0 or 1."""
+    if type(q) is not int and type(q) is not Fraction:
+        raise ValueError(f"slope must be an int or a Fraction, got {q!r}")
+    return Fraction(q)
+
+
 def word_for_slope(q) -> MutationWord:
     """The unique word sending slope 1 to q > 0, by the reverse Euclidean
     walk on q = a/b: while a > b strip the k = (a - 1) // b outer S-steps
     that keep q >= 1, while a < b the k = (b - 1) // a outer R-steps, until
     q = 1.  The k are the partial quotients of q, the last one less one,
-    each a positive int by the walk, so the word is built trusted."""
-    q = Fraction(q)
+    each a positive int by the walk, so the word is built trusted.  q is an
+    int or a Fraction."""
+    q = _slope(q)
     if q <= 0:
         raise ValueError("slope must be positive")
     a, b = q.numerator, q.denominator
@@ -80,9 +89,10 @@ def phi_from_infinity(q):
     For q > 0 this is the word matrix composed with the R-step from
     infinity, one power per run of the word.  For q <= 0,
     m = floor(-q) + 1 is the fewest S-steps making q + m positive, and
-    S^-m = ((1, 0), (-m, 1)) is applied to the matrix for q + m.
+    S^-m = ((1, 0), (-m, 1)) is applied to the matrix for q + m.  q is an
+    int or a Fraction.
     """
-    q = Fraction(q)
+    q = _slope(q)
     m = 0 if q > 0 else floor(-q) + 1
     (a, b), (c, d) = mat_mul(word_for_slope(q + m).matrix(), R_MATRIX)
     return (a, b), (c - m * a, d - m * b)

@@ -175,8 +175,15 @@ def test_real_root_classes_complete():
 
 
 def test_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="special point index must be 1..4"):
         simple_class(0, 1)
+    # Indices that are not ints, bools included, are refused, not read
+    # as a point or a parity.
+    for i, j, bad in [(1, 1.5, "j"), (True, 1, "i"), (1.0, 1, "i"),
+                      (2, False, "j"), (1, "1", "j")]:
+        with pytest.raises(ValueError, match=f"special point index {bad} "
+                           "must be an integer, got "):
+            simple_class(i, j)
     with pytest.raises(ValueError):
         K0Class(1, (0, 0, 0), 0)
     with pytest.raises(ValueError):

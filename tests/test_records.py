@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ellmf._record import Record
 from ellmf.k0 import K0Class, LVector, RootInfo, RootKind
 from ellmf.mf import (BranchReport, Certificate, GradedMatrix,
                       MatrixFactorization, PointP1, cone, verify_mf)
@@ -180,20 +181,34 @@ def test_trusted_stores_the_fields_as_given(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_store_sets_the_fields_of_a_new_object(name):
-    """_store, compiled with _trusted from one source, sets the fields of
-    an object made by object.__new__ to the value the public constructor
-    builds; every __init__ ends by calling it."""
+    """_store, compiled with _trusted, __eq__ and __hash__ from one source,
+    sets the fields of an object made by object.__new__ to the value the
+    public constructor builds; every __init__ ends by calling it."""
     build, _, fields, text = CASES[name]
     x = build()
     cls, values = type(x), [getattr(x, f) for f in fields]
     assert cls._store.__code__.co_filename == \
         cls._trusted.__code__.co_filename == f"<{cls.__qualname__}._trusted>"
+    for method in ("__eq__", "__hash__"):
+        assert vars(cls)[method].__code__.co_filename == \
+            f"<{cls.__qualname__}._trusted>"
     assert cls._store.__qualname__ == cls.__qualname__
     y = object.__new__(cls)
     assert cls._store(y, *values) is None
     assert y == x and repr(y) == text and hash(y) == hash(x)
     with pytest.raises(AttributeError):
         setattr(y, fields[0], values[0])
+
+
+def test_record_is_generated_when_its_class_is_defined():
+    """The four generated functions are on a record class as soon as its
+    class statement ends, before any instance exists."""
+    class P(Record):
+        __slots__ = ("a", "b")
+
+    assert {"_store", "_trusted", "__eq__", "__hash__"} <= set(vars(P))
+    assert P(1, 2) == P._trusted(1, 2) != P(2, 1)
+    assert hash(P(1, 2)) == hash((1, 2))
 
 
 @pytest.mark.parametrize("s", [Scalar([1, 2], [0, 2]), Scalar([2], [4])])

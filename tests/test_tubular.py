@@ -118,6 +118,17 @@ def test_bad_word_letters():
         word_for_slope(0)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.5, 2.0, True, False, "1/2", None])
+def test_slope_must_be_int_or_fraction(q):
+    # A float would be read as its binary fraction: 0.1 has the word
+    # R9 S1 R1801439850948197 S1.
+    for fn in (word_for_slope, phi_from_infinity):
+        with pytest.raises(ValueError) as info:
+            fn(q)
+        assert str(info.value) == \
+            f"slope must be an int or a Fraction, got {q!r}"
+
+
 def test_word_for_large_slope_is_one_run():
     w = word_for_slope(100000)
     assert w.runs == (("S", 99999),)
