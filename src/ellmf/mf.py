@@ -3,7 +3,10 @@ constructors, symbolic verification, reduction to minimal form and Betti
 readout.  All arithmetic is exact over the lambda function field.  A
 passing verification of entries polynomial in lambda holds for every
 admissible parameter value.  reduce_mf pivots on +-1 first, so a cone's
-reduction holds wherever the point is defined (see reduce_mf).
+reduction holds wherever the point is defined.  Its units sit where a row
+twist equals a column twist, so it reads its pivots off those degree-0
+constants first and then forms only the cells that survive or that a
+later step reads (see reduce_mf).
 
 Verification composes A*B, and B*A only when A*B has a defect or A is not
 square: over the integral domain Q(lambda)[X, Y], A*B = f*I with f != 0
@@ -40,6 +43,7 @@ from functools import cached_property
 from ._record import Record
 from .poly import UNIT, BivariatePoly, X, Y, dot
 from .qlambda import LAMBDA, MINUS_ONE, ONE, ZERO, Scalar
+from .qlambda import dot as scalar_dot
 
 
 # The quartic F, its four ordered linear factors LINEAR, and the
@@ -122,33 +126,6 @@ class GradedMatrix(Record):
         return GradedMatrix._trusted(tuple(tuple(map(fn, row))
                                            for row in self.entries),
                                      self.row_twists, self.col_twists)
-
-    def minor(self, i: int, j: int) -> "GradedMatrix":
-        """Drop row i and column j together with their twists."""
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError("minor index out of range")
-        return GradedMatrix._trusted(
-            tuple(row[:j] + row[j + 1:]
-                  for r, row in enumerate(self.entries) if r != i),
-            self.row_twists[:i] + self.row_twists[i + 1:],
-            self.col_twists[:j] + self.col_twists[j + 1:])
-
-    def schur_complement(self, i: int, j: int) -> "GradedMatrix":
-        """Cancel the unit u at (i, j): the (i, j) minor minus
-        (column j) * u^-1 * (row i).  Only cells of the minor are formed,
-        and a row whose column-j entry is zero is kept as it is."""
-        minus_inv = -self.entries[i][j].terms[0][1].inverse()
-        m = self.minor(i, j)
-        top = self.entries[i][:j] + self.entries[i][j + 1:]
-        col = (row[j] for r, row in enumerate(self.entries) if r != i)
-        rows = []
-        for row, c in zip(m.entries, col):
-            if not c.is_zero():
-                coef = c.scale(minus_inv)
-                row = tuple(dot(((a, UNIT), (coef, b)))
-                            for a, b in zip(row, top))
-            rows.append(row)
-        return GradedMatrix._trusted(tuple(rows), m.row_twists, m.col_twists)
 
 
 def block_lower(top_left: GradedMatrix, bottom_left: GradedMatrix,
@@ -418,19 +395,73 @@ def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
 
 # --- reduction to minimal form -------------------------------------------
 
-def _find_scalar(g: GradedMatrix):
-    """The pivot of reduce_mf (see there), or None if g has no unit."""
+def _pivot(cells: dict):
+    """The pivot of reduce_mf among cells, {(i, j): constant} in row-major
+    order, or None if no cell holds a unit."""
     hit, tier = None, 3
-    for i, row in enumerate(g.entries):
-        for j, e in enumerate(row):
-            if e.is_scalar():
-                c = e.terms[0][1]
-                if c in (ONE, MINUS_ONE):
-                    return i, j
-                t = 1 if c.is_rational() else 2
-                if t < tier:
-                    hit, tier = (i, j), t
+    for ij, c in cells.items():
+        if c:
+            if c == ONE or c == MINUS_ONE:
+                return ij
+            t = 1 if c.is_rational() else 2
+            if t < tier:
+                hit, tier = ij, t
     return hit
+
+
+def _plan(g: GradedMatrix, partner_pivots) -> list:
+    """The pivots (i, j) of reduce_mf on g, in g's own indices and in the
+    order they are cancelled, once each pivot (k, l) of the partner has
+    deleted g's row l and column k.  Only the degree-0 cells, whose row
+    twist equals their column twist, are read: their constants are
+    updated with one qlambda.dot per cell."""
+    cut_rows = {l for _, l in partner_pivots}
+    cut_cols = {k for k, _ in partner_pivots}
+    u, v = g.row_twists, g.col_twists
+    cells = {(i, j): (e.terms[0][1] if e.terms else ZERO)
+             for i, row in enumerate(g.entries) if i not in cut_rows
+             for j, e in enumerate(row)
+             if u[i] == v[j] and j not in cut_cols}
+    pivots = []
+    while (hit := _pivot(cells)) is not None:
+        pivots.append(hit)
+        pi, pj = hit
+        w = -cells.pop(hit).inverse()
+        top = {j: c for (i, j), c in cells.items() if i == pi and c}
+        col = {i: c * w for (i, j), c in cells.items() if j == pj and c}
+        cells = {(i, j): (scalar_dot(((c, ONE), (col[i], top[j])))
+                          if i in col and j in top else c)
+                 for (i, j), c in cells.items() if i != pi and j != pj}
+    return pivots
+
+
+def _eliminate(g: GradedMatrix, pivots, partner_pivots) -> GradedMatrix:
+    """g less the rows and columns the partner's pivots delete (see _plan),
+    then each pivot (i, j) of pivots cancelled in turn by its Schur step:
+    row i and column j go, and every other row r becomes
+    row r - g[r][j]*u^-1*row i, u the pivot.  Cell (r, c) is formed only
+    where g[r][j] and g[i][c] are both nonzero; every other cell is kept
+    as it is."""
+    cut_rows = {l for _, l in partner_pivots}
+    cut_cols = {k for k, _ in partner_pivots}
+    cols = [j for j in range(g.ncols) if j not in cut_cols]
+    rows = {i: [row[j] for j in cols]
+            for i, row in enumerate(g.entries) if i not in cut_rows}
+    for pi, pj in pivots:
+        k = cols.index(pj)
+        del cols[k]
+        top = rows.pop(pi)
+        minus_inv = -top.pop(k).terms[0][1].inverse()
+        top = [(n, t) for n, t in enumerate(top) if t.terms]
+        for row in rows.values():
+            c = row.pop(k)
+            if c.terms:
+                coef = c.scale(minus_inv)
+                for n, t in top:
+                    row[n] = dot(((row[n], UNIT), (coef, t)))
+    return GradedMatrix._trusted(tuple(map(tuple, rows.values())),
+                                 tuple(g.row_twists[i] for i in rows),
+                                 tuple(g.col_twists[j] for j in cols))
 
 
 def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
@@ -457,21 +488,32 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     lambda = 2.
     On other input a pivot that depends on lambda can vanish at an
     admissible value, so there the result holds for generic lambda.
+
+    The plan comes before the elimination.  A verified input is
+    homogeneous, and a Schur step keeps it so.  Hence a unit sits only
+    where a row twist equals a column twist, and the update of such a
+    degree-0 cell reads only degree-0 cells (entries of degrees d and -d
+    multiply to zero unless d = 0).  So _plan lists A's pivots and then
+    B's from the degree-0 constants alone.  _eliminate then drops from A
+    the rows and columns that B's pivots delete, which never feed a kept
+    cell, before it applies A's Schur steps; B goes alike.  Entries are
+    canonical, so the result is the step-by-step loop's.
     """
     cert = m._certificate
     if not cert.ok:
         raise ValueError("input fails verification: "
                          + failure_text(*cert.failures[0]))
-    A, B = m.A, m.B
-    while (hit := _find_scalar(A)) is not None:
-        A, B = A.schur_complement(*hit), B.minor(hit[1], hit[0])
-    while (hit := _find_scalar(B)) is not None:
-        B, A = B.schur_complement(*hit), A.minor(hit[1], hit[0])
-    return MatrixFactorization(A, B, m.f)
+    a_pivots = _plan(m.A, ())
+    b_pivots = _plan(m.B, a_pivots)
+    return MatrixFactorization(_eliminate(m.A, a_pivots, b_pivots),
+                               _eliminate(m.B, b_pivots, a_pivots), m.f)
 
 
 def is_minimal(m: MatrixFactorization) -> bool:
-    return _find_scalar(m.A) is None and _find_scalar(m.B) is None
+    """Whether no entry of A or B is a unit; every cell is read, since m
+    need not be homogeneous."""
+    return not any(e.is_scalar() for g in (m.A, m.B)
+                   for row in g.entries for e in row)
 
 
 def betti_of_mf(m: MatrixFactorization) -> BettiTable:

@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import ellmf.mf
+import ellmf.poly
+import mf_reference
+
 try:
     from hypothesis import assume, given, settings
     from hypothesis import strategies as st
@@ -14,7 +18,7 @@ except ImportError:       # test-only dependency; the property test skips
 
 from ellmf.mf import (
     BRANCH_POINTS, F, FX, FY, KST, KST1, KST2, LINEAR, PHI_PSI, GradedMatrix,
-    MatrixFactorization, PointP1, _chain_maps, _find_scalar, _zeros,
+    MatrixFactorization, PointP1, _chain_maps, _eliminate, _plan, _zeros,
     betti_of_mf, cone, direct_sum, is_minimal, lemma63_invariants, mf_cone,
     mf_linear, mf_Mp_reduced, reduce_mf, verify_mf,
 )
@@ -22,6 +26,7 @@ from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar
 from ellmf.shift import shift_rd
 from ellmf.tables import rd_from_betti, suspend_betti, translate_betti
+from mf_reference import minor, reference_reduce, reference_steps
 
 
 def sample_points(count, seed=71):
@@ -334,13 +339,6 @@ def test_empty_inner_dimension_fails_verification():
     assert verify_mf(flat).failures == (("B*A", 0, 0, -F),)
 
 
-def test_minor_index_out_of_range():
-    g = KST.A
-    for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
-        with pytest.raises(IndexError):
-            g.minor(i, j)
-
-
 def test_certificate_cached_per_object():
     m = mf_cone(PointP1(ONE, ONE))
     assert verify_mf(m) is verify_mf(m)
@@ -418,8 +416,8 @@ def test_compose_matches_naive_sum_of_products():
 
 
 def test_schur_complement_matches_full_update_then_minor():
-    """Reference: update every cell by (column j) * u^-1 * (row i), then
-    take the (i, j) minor."""
+    """One Schur step of _eliminate against the reference: update every
+    cell by (column j) * u^-1 * (row i), then take the (i, j) minor."""
     rng = random.Random(79)
     pivots = (("rational", Scalar.of(Fraction(-3, 2))),
               ("rational", Scalar.of(5)), ("lambda", LAMBDA),
@@ -444,8 +442,8 @@ def test_schur_complement_matches_full_update_then_minor():
             tuple(e if r == i else e - rows[r][j] * rows[i][c].scale(inv)
                   for c, e in enumerate(row))
             for r, row in enumerate(rows)), u, v)
-        got = g.schur_complement(i, j)
-        assert got == full.minor(i, j)
+        got = _eliminate(g, [(i, j)], ())
+        assert got == minor(full, i, j)
         assert not got.homogeneity_defects()
         seen.add(kind)
         seen.add(("row", i == 0, i == nr - 1))
@@ -486,22 +484,43 @@ def test_reduce_symbolic_point():
 
 def test_pivot_tiers_and_row_major_tie():
     """The pivot is the first unit equal to +-1, else the first rational
-    constant, else the first unit, each tier in row-major order."""
+    constant, else the first unit, each tier in row-major order.  Each
+    matrix is graded so that its constants sit at degree-0 cells, the only
+    cells _plan reads, and the reference loop, which scans every cell,
+    cancels the same pivots."""
     z = BivariatePoly.zero()
 
     def c(v):
         return BivariatePoly.monomial(0, 0, v)
 
-    def pivot(*rows):
-        return _find_scalar(GradedMatrix(rows, (0,) * len(rows),
-                                         (0,) * len(rows[0])))
+    def plan(rows, row_twists, col_twists):
+        g = GradedMatrix(rows, row_twists, col_twists)
+        assert not g.homogeneity_defects()
+        pivots = _plan(g, ())
+        partner = _zeros(g.col_twists, g.row_twists)
+        assert pivots == reference_steps(MatrixFactorization(g, partner,
+                                                             F))[1]
+        return pivots
+
+    def pivot(rows, row_twists, col_twists):
+        pivots = plan(rows, row_twists, col_twists)
+        return pivots[0] if pivots else None
 
     lam_unit = c(LAMBDA + 2)
-    assert pivot((lam_unit, c(3), X), (c(-1), c(1), z)) == (1, 0)
-    assert pivot((X, c(-1)), (c(1), z)) == (0, 1)
-    assert pivot((lam_unit, X), (c(Fraction(1, 2)), c(3))) == (1, 0)
-    assert pivot((X, lam_unit), (c(LAMBDA), z)) == (0, 1)
-    assert pivot((X, z), (Y, z)) is None
+    assert pivot(((lam_unit, c(3), X), (c(-1), c(1), z)),
+                 (0, 0), (0, 0, 1)) == (1, 0)
+    assert pivot(((X, c(-1)), (c(1), z)), (0, 1), (1, 0)) == (0, 1)
+    assert pivot(((lam_unit, X), (c(Fraction(1, 2)), Y), (c(3), z)),
+                 (0, 0, 0), (0, 1)) == (1, 0)
+    assert pivot(((X, lam_unit), (c(LAMBDA), z)), (0, 1), (1, 0)) == (0, 1)
+    assert pivot(((X, z), (Y, z)), (0, 0), (1, 0)) is None
+    # The tier is read after each update.  (1, 2) holds 7 before the first
+    # step and 1 after it, so it beats the rational -8 at (1, 1); and a
+    # cell that the update brings to 0, here (1, 1), is no unit.
+    assert plan(((c(1), c(5), c(2)), (c(3), c(7), c(7))),
+                (0, 0), (0, 0, 0)) == [(0, 0), (1, 2)]
+    assert plan(((c(1), c(2), c(5)), (c(3), c(6), c(7))),
+                (0, 0), (0, 0, 0)) == [(0, 0), (1, 2)]
 
 
 def _lambda_denominators(m):
@@ -615,10 +634,9 @@ def _mix(m, side, l, k, c):
     return MatrixFactorization(m.A.compose(e), inv.compose(m.B), m.f)
 
 
-def test_reduce_units_hidden_by_base_change():
-    """Trivial summands (1, f) and (f, 1) mixed into a minimal factorization
-    by constant base changes put units in the rows of the minimal summand,
-    off the direct-sum blocks; A and B each need two pivots."""
+def _units_hidden_by_base_change():
+    """(base, m): trivial summands (1, f) and (f, 1) mixed into the minimal
+    base by constant base changes."""
     base = mf_Mp_reduced(PointP1(LAMBDA, ONE))
     one, f = BivariatePoly.monomial(0, 0), base.f
     m = base
@@ -630,11 +648,19 @@ def test_reduce_units_hidden_by_base_change():
         m = direct_sum(m, MatrixFactorization(
             GradedMatrix(((f,),), (t,), (t + 4,)),
             GradedMatrix(((one,),), (t + 4,), (t + 4,)), f))
-    assert m.A.row_twists == (1, 0, 1, 0, -2, -1)
-    assert m.A.col_twists == (2, 3, 1, 0, 2, 3)
     for side, l, k, c in ((0, 0, 2, 2), (0, 1, 3, 1),
                           (1, 0, 4, 1), (1, 1, 5, -3)):
         m = _mix(m, side, l, k, c)
+    return base, m
+
+
+def test_reduce_units_hidden_by_base_change():
+    """Trivial summands (1, f) and (f, 1) mixed into a minimal factorization
+    by constant base changes put units in the rows of the minimal summand,
+    off the direct-sum blocks; A and B each need two pivots."""
+    base, m = _units_hidden_by_base_change()
+    assert m.A.row_twists == (1, 0, 1, 0, -2, -1)
+    assert m.A.col_twists == (2, 3, 1, 0, 2, 3)
     assert verify_mf(m).ok
     assert m.A.entry(0, 2).is_scalar() and m.A.entry(1, 3).is_scalar()
     assert m.B.entry(0, 4).is_scalar() and m.B.entry(1, 5).is_scalar()
@@ -644,6 +670,106 @@ def test_reduce_units_hidden_by_base_change():
     for g, h in ((red.A, base.A), (red.B, base.B)):
         assert sorted(g.row_twists) == sorted(h.row_twists)
         assert sorted(g.col_twists) == sorted(h.col_twists)
+
+
+def _lambda_unit_scrambled():
+    """The scrambled input of tests/golden/cli_matrix.json: mf_linear(1) +
+    (1, f) under P = [[L-2, L-1], [L-3, L-2]] of determinant 1, whose only
+    units are L - 1 and L - 2, so its pivots are of the third tier."""
+    def const(a, b):
+        return BivariatePoly.monomial(0, 0, LAMBDA * b + a)
+
+    m = direct_sum(mf_linear(1), MatrixFactorization(
+        GradedMatrix(((const(1, 0),),), (0,), (0,)),
+        GradedMatrix(((F,),), (0,), (4,)), F))
+    p = GradedMatrix(((const(-2, 1), const(-1, 1)),
+                      (const(-3, 1), const(-2, 1))), (0, 0), (0, 0))
+    p_inv = GradedMatrix(((const(-2, 1), const(1, -1)),
+                          (const(3, -1), const(-2, 1))), (4, 4), (4, 4))
+    return MatrixFactorization(p.compose(m.A), m.B.compose(p_inv), F)
+
+
+def _reduction_sources():
+    """Cones at sample_points (the branch points [0 : 1], [1 : 0] and
+    [1 : 1] among them) and at [-1 : 1], where with [1 : 1] the row-major
+    tie takes -p0 at (2, 0); each specialized at three values of lambda;
+    the twists and syzygies of all of these; direct sums of two and three
+    objects, some scrambled by base changes; and the lambda-unit scrambled
+    input."""
+    cones = [mf_cone(p) for p in sample_points(12) + [PointP1(-1, 1)]]
+    plain = cones + [c.specialize(lam) for c in cones
+                     for lam in (2, Fraction(-1, 3), Fraction(5, 2))]
+    ops = plain + [op(m) for m in plain
+                   for op in (lambda m: m.twist(1), lambda m: m.twist(-2),
+                              MatrixFactorization.syzygy)]
+    sums = [direct_sum(cones[4], cones[5]),
+            direct_sum(direct_sum(cones[0], KST), cones[12]),
+            direct_sum(direct_sum(cones[1], cones[2]), cones[3]),
+            direct_sum(direct_sum(mf_linear(2), cones[6]),
+                       reduce_mf(cones[7]).syzygy()),
+            _units_hidden_by_base_change()[1]]
+    sums += _differential_sources()[-3:]
+    return ops + sums + [_lambda_unit_scrambled()]
+
+
+def test_reduce_matches_step_by_step_reference():
+    """reduce_mf equals the step-by-step loop of mf_reference, entries and
+    twists, and its plan lists the pivots that loop cancels, in order."""
+    sources = _reduction_sources()
+    steps = set()
+    for m in sources:
+        assert verify_mf(m).ok
+        red = reduce_mf(m)
+        want, a_pivots, b_pivots = reference_steps(m)
+        assert red == want
+        assert red.A.entries == want.A.entries
+        assert (red.A.row_twists, red.A.col_twists, red.B.entries) == (
+            want.A.row_twists, want.A.col_twists, want.B.entries)
+        plan = _plan(m.A, ())
+        assert (plan, _plan(m.B, plan)) == (a_pivots, b_pivots)
+        steps.add((len(a_pivots), len(b_pivots)))
+    # Several A- and B-phase steps occur, the tie at p0 = +-1 takes (2, 0),
+    # and the last input's pivot is a lambda-dependent unit.
+    assert {(1, 1), (2, 2), (3, 3)} <= steps
+    for p0 in (1, -1):
+        assert _plan(mf_cone(PointP1(p0, 1)).A, ()) == [(2, 0)]
+    scrambled = sources[-1]
+    i, j = _plan(scrambled.A, ())[0]
+    assert not scrambled.A.entry(i, j).terms[0][1].is_rational()
+
+
+def test_reduction_forms_only_surviving_cells(monkeypatch):
+    """reduce_mf forms 8 polynomials for the cone at [2 lambda + 3 : 1] and
+    4 for those at [0 : 1] and [1 : 0], where the step-by-step loop formed
+    13 and 11: A loses up front the row and the column that B's pivot
+    deletes, and a cell is formed only where its update is nonzero.  Each
+    polynomial formed is an entry of the result or is read by a later
+    sum."""
+    formed, read = [], []
+    dot = ellmf.poly.dot
+
+    def counting(pairs):
+        pairs = tuple(pairs)
+        read.extend(p for pair in pairs for p in pair)
+        formed.append(dot(pairs))
+        return formed[-1]
+
+    for module in (ellmf.poly, ellmf.mf, mf_reference):
+        monkeypatch.setattr(module, "dot", counting)
+    for p, want, before in ((PointP1(LAMBDA * 2 + 3, ONE), 8, 13),
+                            (PointP1(0, 1), 4, 11), (PointP1(1, 0), 4, 11)):
+        m = mf_cone(p)
+        assert verify_mf(m).ok
+        formed.clear()
+        read.clear()
+        red = reduce_mf(m)
+        assert len(formed) == want
+        entries = {id(e) for g in (red.A, red.B) for row in g.entries
+                   for e in row}
+        read_ids = {id(e) for e in read}
+        assert all(id(e) in entries or id(e) in read_ids for e in formed)
+        formed.clear()
+        assert reference_reduce(m) == red and len(formed) == before
 
 
 def test_verify_reports_zero_f():

@@ -35,6 +35,7 @@ from ellmf.mf import (BRANCH_POINTS, F, KST, GradedMatrix,  # noqa: E402
 from ellmf.poly import BivariatePoly                    # noqa: E402
 from ellmf.qlambda import LAMBDA, ONE, Scalar           # noqa: E402
 from ellmf.tables import BettiTable                     # noqa: E402
+from mf_reference import reference_reduce                # noqa: E402
 
 L = sympy.Symbol("L")
 FIELD = sympy.QQ.frac_field(L)
@@ -166,8 +167,11 @@ def scramble(draw, m: MatrixFactorization) -> MatrixFactorization:
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_reduced_betti_matches_rank_oracle_under_base_change(index, data):
+    """The reduction of a scrambled base has the oracle's Betti table and
+    equals, entries and twists, the step-by-step loop of mf_reference."""
     m = scramble(data.draw, BASES[index])
     assert verify_mf(m).ok
     red = reduce_mf(m)
+    assert red == reference_reduce(m)
     assert is_minimal(red)
     assert betti_of_mf(red) == oracle_betti(m) == EXPECTED[index]
