@@ -4,6 +4,7 @@ Each command computes its result once: a JSON record, or a list of them,
 and a small function that lays the result out as lines of text.  `render`
 prints it in the chosen format (text, json or csv); json output is
 canonical (sorted keys, no floats) so golden files regenerate byte-exactly.
+`mf` is a tree of verbs: build (a kind of MF_KINDS), verify, reduce, betti.
 `run` alone reports errors and picks the exit code: 0 success, 1 failed
 verification/classification, 2 invalid input; a reader that closes
 stdout early ends the output, not the exit code.  Each command and
@@ -37,12 +38,7 @@ class SchemaError(ValueError):
 
 
 class CheckFailed(Exception):
-    """A check on valid input failed (exit 1); `output` is a command result
-    to print first, when the failure has a report."""
-
-    def __init__(self, message: str, output=None):
-        super().__init__(message)
-        self.output = output
+    """A check on valid input failed (exit 1)."""
 
 
 def parse_rational(text: str, where: str = "argument") -> Fraction:
@@ -434,40 +430,23 @@ def cmd_ulrich(args):
         + ("  ULRICH" if c["ulrich"] else "") for c in recs]
 
 
-def _build_mf(args) -> tuple[mf.MatrixFactorization, Fraction | None]:
+def cmd_mf_build(args):
     from . import mf
-    from .qlambda import Scalar
-    lam = parse_lambda("sym" if args.lam is None else args.lam, "--lambda")
-    which = args.what[0]
-    rest = args.what[1:]
-
-    def point(need):
-        if len(rest) != need:
-            raise SchemaError(f"mf build {which}: expected {need} "
-                              "point coordinates")
-        vals = [parse_rational(s, "point") for s in rest]
+    lam = parse_lambda(args.lam, "--lambda")
+    if args.kind == "kst":
+        m = mf.KST
+    elif args.kind == "linear":
+        m = mf.mf_linear(int(args.i))
+    else:
+        x, y = (parse_rational(s, "point") for s in (args.p0, args.p1))
         try:
-            return mf.PointP1(Scalar.of(vals[0]), Scalar.of(vals[1]))
+            point = mf.PointP1(x, y)
         except ValueError as exc:
             raise SchemaError(f"point: {exc}")
-
-    if which == "kst":
-        if rest:
-            raise SchemaError("mf build kst takes no arguments")
-        m = mf.KST
-    elif which == "linear":
-        if len(rest) != 1 or rest[0] not in ("1", "2", "3", "4"):
-            raise SchemaError("mf build linear I: I must be 1..4")
-        m = mf.mf_linear(int(rest[0]))
-    elif which == "cone":
-        m = mf.mf_cone(point(2))
-    elif which == "reduced":
-        m = mf.mf_Mp_reduced(point(2))
-    else:
-        raise SchemaError(f"unknown factorization {which!r}")
+        m = (mf.mf_cone if args.kind == "cone" else mf.mf_Mp_reduced)(point)
     if lam is not None:
         m = m.specialize(lam)
-    return m, lam
+    return mf_to_json(m, lam), _mf_text
 
 
 def _mf_text(doc):
@@ -489,34 +468,35 @@ def _verify_text(c):
         for x in c["failures"]]
 
 
-def cmd_mf(args):
+def cmd_mf_verify(args):
     from . import mf
-    if args.action == "build":
-        m, lam = _build_mf(args)
-        return mf_to_json(m, lam), _mf_text
-    if len(args.what) != 1:
-        raise SchemaError(f"mf {args.action}: expected exactly one FILE")
-    if args.lam is not None:
-        raise SchemaError(f"mf {args.action}: --lambda applies to build "
-                          "only; the file states its lambda")
-    m, lam = mf_from_json(_read_json(args.what[0]))
-    cert = mf.verify_mf(m)
-    if args.action == "verify":
-        report = {"ok": cert.ok,
-                  "failures": [{"where": w, "i": i, "j": j,
-                                "defect": mf.defect_text(dd)}
-                               for w, i, j, dd in cert.failures]}
-        if not cert.ok:
-            raise CheckFailed("verification failed", (report, _verify_text))
-        return report, _verify_text
-    # betti reads twists alone, so a file that is no factorization is
-    # refused here as reduce refuses it.
+    cert = mf.verify_mf(mf_from_json(_read_json(args.file))[0])
+    report = {"ok": cert.ok,
+              "failures": [{"where": w, "i": i, "j": j,
+                            "defect": mf.defect_text(dd)}
+                           for w, i, j, dd in cert.failures]}
     if not cert.ok:
-        raise CheckFailed("input fails verification: "
-                          + mf.failure_text(*cert.failures[0]))
-    if args.action == "reduce":
-        return mf_to_json(mf.reduce_mf(m), lam), _mf_text
+        render(args, report, _verify_text)
+        raise CheckFailed("verification failed")
+    return report, _verify_text
+
+
+def cmd_mf_reduce(args):
+    from . import mf
+    m, lam = mf_from_json(_read_json(args.file))
     try:
+        red = mf.reduce_mf(m)
+    except ValueError as exc:
+        raise CheckFailed(str(exc)) from None
+    return mf_to_json(red, lam), _mf_text
+
+
+def cmd_mf_betti(args):
+    from . import mf
+    m = mf_from_json(_read_json(args.file))[0]
+    try:
+        # betti reads twists alone: refuse a non-factorization as reduce does.
+        mf.verify_mf(m).check()
         t = mf.betti_of_mf(m)
     except ValueError as exc:
         raise CheckFailed(str(exc)) from None
@@ -524,59 +504,84 @@ def cmd_mf(args):
         f"b[{e['i']},{e['j']}] = {e['beta']}" for e in c["entries"]]
 
 
+# The kinds of `mf build` and the words each takes, with their choices.
+MF_KINDS = {"kst": {}, "linear": {"i": ("1", "2", "3", "4")},
+            "cone": {"p0": None, "p1": None},
+            "reduced": {"p0": None, "p1": None}}
+
+
+class _KindWords(argparse.Action):
+    """mf build's words, which the parser in const reads by kind.  A "--"
+    before the kind moves behind it, where it still marks -5/2 as a word."""
+
+    def __call__(self, parser, namespace, words, option_string=None):
+        if words[:1] == ["--"]:
+            words = words[1:2] + ["--"] * (len(words) > 2) + words[2:]
+        self.const.parse_args(words, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # --format may sit at each level of a command, as --lambda may in mf
+    # build.  A subcommand's namespace is copied over its parent's, and
+    # parsers share their parents' options, so only the top has defaults.
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json", "csv"),
-                     default="text")
+                     default=argparse.SUPPRESS)
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", default=argparse.SUPPRESS)
     top = argparse.ArgumentParser(prog="ellmf")
+    top.set_defaults(format="text", lam="sym")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", parents=[fmt])
-    p.add_argument("--m-max", type=_integer, default=0)
-    p.add_argument("--n-min", type=_integer, default=0)
-    p.add_argument("--n-max", type=_integer, default=0)
-    p.set_defaults(func=cmd_roots)
+    def command(group, name, func, *parents):
+        p = group.add_parser(name, parents=[fmt, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("class-info", parents=[fmt])
+    p = command(sub, "roots", cmd_roots)
+    for option in ("--m-max", "--n-min", "--n-max"):
+        p.add_argument(option, type=_integer, default=0)
+
+    p = command(sub, "class-info", cmd_class_info)
     for name in ("a0", "a1", "a2", "a3", "a4", "n"):
         p.add_argument(name, type=_integer)
-    p.set_defaults(func=cmd_class_info)
 
-    p = sub.add_parser("cohom", parents=[fmt])
+    p = command(sub, "cohom", cmd_cohom)
     p.add_argument("r", type=_integer)
     p.add_argument("d", type=_integer)
-    p.set_defaults(func=cmd_cohom)
 
-    p = sub.add_parser("betti-catalog", parents=[fmt])
+    p = command(sub, "betti-catalog", cmd_betti_catalog)
     p.add_argument("--a-max", type=_integer, default=3)
     p.add_argument("--b-max", type=_integer, default=3)
     p.add_argument("--r-max", type=_integer, default=4)
-    p.set_defaults(func=cmd_betti_catalog)
 
-    p = sub.add_parser("classify-betti", parents=[fmt])
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify_betti)
+    command(sub, "classify-betti", cmd_classify_betti).add_argument("file")
 
-    p = sub.add_parser("reduce-rd", parents=[fmt])
+    p = command(sub, "reduce-rd", cmd_reduce_rd)
     p.add_argument("r", type=_integer)
     p.add_argument("d", type=_integer)
-    p.set_defaults(func=cmd_reduce_rd)
 
-    p = sub.add_parser("slope-word", parents=[fmt])
-    p.add_argument("slope")
-    p.set_defaults(func=cmd_slope_word)
+    command(sub, "slope-word", cmd_slope_word).add_argument("slope")
 
-    p = sub.add_parser("mf", parents=[fmt])
-    p.add_argument("action", choices=("build", "verify", "reduce", "betti"))
-    p.add_argument("what", nargs="+")
-    p.add_argument("--lambda", dest="lam")
-    p.set_defaults(func=cmd_mf)
+    verbs = sub.add_parser("mf", parents=[fmt]).add_subparsers(required=True)
+    kinds = argparse.ArgumentParser(prog="ellmf mf build", add_help=False)
+    kind = kinds.add_subparsers(dest="kind", required=True)
+    for name, words in MF_KINDS.items():
+        p = kind.add_parser(name, parents=[fmt, lam])
+        for word, choices in words.items():
+            p.add_argument(word, choices=choices)
+    command(verbs, "build", cmd_mf_build, lam).add_argument(
+        "words", nargs=argparse.REMAINDER, action=_KindWords, const=kinds,
+        default=argparse.SUPPRESS, metavar="KIND",
+        help="kst | linear I | cone P0 P1 | reduced P0 P1")
+    for name, func in (("verify", cmd_mf_verify), ("reduce", cmd_mf_reduce),
+                       ("betti", cmd_mf_betti)):
+        command(verbs, name, func).add_argument("file")
 
-    p = sub.add_parser("ulrich", parents=[fmt])
+    p = command(sub, "ulrich", cmd_ulrich)
     p.add_argument("--a-max", type=_integer, default=20)
     p.add_argument("--b-max", type=_integer, default=20)
     p.add_argument("--r-max", type=_integer, default=40)
-    p.set_defaults(func=cmd_ulrich)
     return top
 
 
@@ -586,13 +591,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        try:
-            output = args.func(args)
-        except CheckFailed as exc:
-            if exc.output is not None:
-                render(args, *exc.output)
-            raise
-        render(args, *output)
+        render(args, *args.func(args))
     except (SchemaError, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, SchemaError) else 1

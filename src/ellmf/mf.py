@@ -167,6 +167,12 @@ class Certificate(Record):
     def ok(self) -> bool:
         return not self.failures
 
+    def check(self) -> None:
+        """Raise ValueError naming the first failure, unless ok."""
+        if self.failures:
+            raise ValueError("input fails verification: "
+                             + failure_text(*self.failures[0]))
+
 
 class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
@@ -499,10 +505,7 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     cell, before it applies A's Schur steps; B goes alike.  Entries are
     canonical, so the result is the step-by-step loop's.
     """
-    cert = m._certificate
-    if not cert.ok:
-        raise ValueError("input fails verification: "
-                         + failure_text(*cert.failures[0]))
+    m._certificate.check()
     a_pivots = _plan(m.A, ())
     b_pivots = _plan(m.B, a_pivots)
     return MatrixFactorization(_eliminate(m.A, a_pivots, b_pivots),

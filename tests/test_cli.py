@@ -351,20 +351,32 @@ def test_bad_input_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv,message", [
-    ("build kst 1", "mf build kst takes no arguments"),
-    ("build linear 5", "mf build linear I: I must be 1..4"),
-    ("build conic 1 1", "unknown factorization 'conic'"),
-    ("build cone 1", "mf build cone: expected 2 point coordinates"),
+    ("build kst 1", "ellmf mf build: error: unrecognized arguments: 1"),
+    ("build linear 5",
+     "ellmf mf build linear: error: argument i: invalid choice: '5'"),
+    ("build conic 1 1",
+     "ellmf mf build: error: argument kind: invalid choice: 'conic'"),
+    ("build cone 1", "ellmf mf build cone: error: the following arguments "
+     "are required: p1"),
     ("build cone 0 0", "point: (0, 0) is not a projective point"),
-    ("verify A B", "mf verify: expected exactly one FILE"),
+    ("verify A B", "ellmf: error: unrecognized arguments: B"),
     ("verify FILE --lambda 2",
-     "mf verify: --lambda applies to build only; the file states its lambda"),
+     "ellmf: error: unrecognized arguments: --lambda 2"),
     ("build kst --lambda 0", "--lambda: must avoid 0 and 1"),
 ])
 def test_mf_argument_errors_exit_2(capsys, argv, message):
+    """A word missing, left over or outside its choices is argparse's
+    error, under the usage of the parser that found it (the prog before
+    ": error:"); a bad value of a word is the command's own error."""
     code = run(["mf", *argv.split()])
     out, err = capsys.readouterr()
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out) == (2, "")
+    if ": error: " in message:
+        prog = message.split(": error: ")[0]
+        assert err.startswith(f"usage: {prog} ")
+        assert err.splitlines()[-1].startswith(message)
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_lambda_refused_on_file_actions(capsys, tmp_path):
@@ -386,6 +398,41 @@ def ellmf_process(argv, **kwargs):
     return subprocess.run([sys.executable, "-m", "ellmf.cli", *argv],
                           env=env, stderr=subprocess.PIPE, text=True,
                           timeout=60, **kwargs)
+
+
+# Options may sit at mf, at the verb or among the words, and a "--"
+# before the kind still guards a coordinate such as -5/2: each argv prints
+# what its canonical form prints.
+PLACEMENTS = [
+    ("mf build cone --format json 2 3", "mf build cone 2 3 --format json"),
+    ("mf build cone 2 --format json 3", "mf build cone 2 3 --format json"),
+    ("mf build --format json cone 2 3", "mf build cone 2 3 --format json"),
+    ("mf --format json build cone 2 3", "mf build cone 2 3 --format json"),
+    ("mf --format json build -- cone 2 3", "mf build cone 2 3 --format json"),
+    ("mf build cone --format json -- -1 1",
+     "mf build cone -1 1 --format json"),
+    ("mf --format json build --lambda=3 -- cone -5/2 3",
+     "mf build cone --lambda 3 --format json -- -5/2 3"),
+    ("mf --format json build cone --lambda=3 -- -5/2 3",
+     "mf build cone --lambda 3 --format json -- -5/2 3"),
+    ("mf build -- kst", "mf build kst"),
+]
+
+
+@pytest.mark.parametrize("argv,canonical", PLACEMENTS)
+def test_option_placement(capsys, argv, canonical):
+    code, out = invoke(capsys, *canonical.split())
+    assert code == 0 and out
+    if "--format json" in canonical:
+        json.loads(out)
+    assert invoke(capsys, *argv.split()) == (code, out)
+
+
+def test_option_placement_in_a_process(capsys):
+    argv, canonical = PLACEMENTS[6]
+    proc = ellmf_process(argv.split(), stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        *invoke(capsys, *canonical.split()), "")
 
 
 def test_closed_stdout_keeps_exit_code(tmp_path):
