@@ -9,7 +9,10 @@ class Record:
     __init__ passes its arguments to the class's generated storer
     _store(self, *fields), so Python binds the fields by position or
     keyword, and a missing, unknown, doubled or extra one raises TypeError
-    naming the class.  A subclass writes its own __init__, whose
+    naming the class.  That error counts the object among the positional
+    arguments, as Python's does for self: mf.Certificate has one field, and
+    Certificate((), 1) reads "Certificate() takes 2 positional arguments
+    but 3 were given".  A subclass writes its own __init__, whose
     parameters are the fields in that order, only to check, normalise or
     default them, and ends it with self._store(...).  The one exception is
     qlambda.Scalar, whose constructor takes a Fraction form (num, den) and

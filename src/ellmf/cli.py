@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(group, name, func, *parents):
         p = group.add_parser(name, parents=[fmt, *parents])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command(sub, "roots", cmd_roots)
@@ -587,7 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # A subcommand hands the words it did not take up to the top parser;
+        # they are reported under the usage of the command that was picked.
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

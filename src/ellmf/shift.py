@@ -20,8 +20,9 @@ class OrbitError(ValueError):
 
 
 def mat_mul(m1, m2):
-    return tuple(tuple(sum(m1[i][k] * m2[k][j] for k in range(2))
-                       for j in range(2)) for i in range(2))
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
 
 
 def mat_apply(m, p):
@@ -65,8 +66,8 @@ def reduce_to_fundamental(p: tuple[int, int]) -> tuple[tuple[int, int], int]:
     """The unique k in 0..3 with shift_rd(p, k) in the fundamental domain."""
     if p == (0, 0):
         raise ValueError("zero class has no fundamental representative")
-    hits = [(shift_rd(p, k), k) for k in range(4)
-            if in_fundamental_domain(shift_rd(p, k))]
+    hits = [(q, k) for k in range(4)
+            if in_fundamental_domain(q := shift_rd(p, k))]
     if len(hits) != 1:
         raise OrbitError(f"orbit of {p} meets the domain {len(hits)} times")
     return hits[0]

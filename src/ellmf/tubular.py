@@ -7,11 +7,11 @@ action produces the change-of-tube matrix from slope infinity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from ._record import Record
 from .k0 import K0Class, euler_pairing
-from .shift import mat_apply, mat_mul
+from .shift import mat_apply
 
 R_MATRIX = ((1, 1), (0, 1))
 S_MATRIX = ((1, 0), (1, 1))
@@ -40,36 +40,28 @@ class MutationWord(Record):
     def matrix(self):
         """Product of the powers R^k = ((1, k), (0, 1)) and
         S^k = ((1, 0), (k, 1)), one per run, outermost first."""
-        out = ((1, 0), (0, 1))
-        for ch, k in self.runs:
-            out = mat_mul(out, ((1, k), (0, 1)) if ch == "R"
-                          else ((1, 0), (k, 1)))
-        return out
+        return _fold(self.runs)
 
     def apply_to_slope(self, q: Fraction) -> Fraction:
         r, d = mat_apply(self.matrix(), (q.denominator, q.numerator))
         return Fraction(d, r)
 
 
-def _slope(q) -> Fraction:
-    """q as a Fraction.  Only an int or a Fraction is taken: a float would
-    be read as its binary fraction, and a bool as 0 or 1."""
+def _slope(q) -> tuple[int, int]:
+    """q in lowest terms as (numerator, denominator > 0).  Only an int or a
+    Fraction is taken: a float would be read as its binary fraction, and a
+    bool as 0 or 1."""
     if type(q) is not int and type(q) is not Fraction:
         raise ValueError(f"slope must be an int or a Fraction, got {q!r}")
-    return Fraction(q)
+    return q.numerator, q.denominator
 
 
-def word_for_slope(q) -> MutationWord:
-    """The unique word sending slope 1 to q > 0, by the reverse Euclidean
-    walk on q = a/b: while a > b strip the k = (a - 1) // b outer S-steps
-    that keep q >= 1, while a < b the k = (b - 1) // a outer R-steps, until
-    q = 1.  The k are the partial quotients of q, the last one less one,
-    each a positive int by the walk, so the word is built trusted.  q is an
-    int or a Fraction."""
-    q = _slope(q)
-    if q <= 0:
-        raise ValueError("slope must be positive")
-    a, b = q.numerator, q.denominator
+def _runs(a: int, b: int) -> list[tuple[str, int]]:
+    """The runs of the word sending slope 1 to a/b > 0, by the reverse
+    Euclidean walk: while a > b strip the k = (a - 1) // b outer S-steps
+    that keep a/b >= 1, while a < b the k = (b - 1) // a outer R-steps,
+    until a = b.  The k are the partial quotients of a/b, the last one
+    less one, so each is a positive int."""
     runs = []
     while a != b:
         if a > b:
@@ -80,21 +72,49 @@ def word_for_slope(q) -> MutationWord:
             k = (b - 1) // a
             runs.append(("R", k))
             b -= k * a
-    return MutationWord._trusted(tuple(runs))
+    return runs
+
+
+def _fold(runs):
+    """The product of R^k and S^k over the runs, outermost first, as its
+    four entries: right-multiplying by R^k adds k times the first column
+    to the second, by S^k k times the second to the first."""
+    a, b, c, d = 1, 0, 0, 1
+    for ch, k in runs:
+        if ch == "R":
+            b += k * a
+            d += k * c
+        else:
+            a += k * b
+            c += k * d
+    return (a, b), (c, d)
+
+
+def word_for_slope(q) -> MutationWord:
+    """The unique word sending slope 1 to q > 0, built trusted from the
+    runs of the reverse Euclidean walk on q.  q is an int or a Fraction."""
+    n, den = _slope(q)
+    if n <= 0:
+        raise ValueError("slope must be positive")
+    return MutationWord._trusted(tuple(_runs(n, den)))
 
 
 def phi_from_infinity(q):
-    """Unimodular matrix carrying the slope-infinity tube to slope q.
+    """Unimodular matrix carrying the slope-infinity tube to slope q = n/den.
 
     For q > 0 this is the word matrix composed with the R-step from
-    infinity, one power per run of the word.  For q <= 0,
-    m = floor(-q) + 1 is the fewest S-steps making q + m positive, and
-    S^-m = ((1, 0), (-m, 1)) is applied to the matrix for q + m.  q is an
-    int or a Fraction.
+    infinity.  For q <= 0, m = floor(-q) + 1 is the fewest S-steps making
+    q + m positive, and S^-m = ((1, 0), (-m, 1)) is applied to the matrix
+    for q + m = (n + m den)/den, still in lowest terms.  So the second
+    column is (den, n).  q is an int or a Fraction.
     """
-    q = _slope(q)
-    m = 0 if q > 0 else floor(-q) + 1
-    (a, b), (c, d) = mat_mul(word_for_slope(q + m).matrix(), R_MATRIX)
+    n, den = _slope(q)
+    m = 0 if n > 0 else -n // den + 1
+    (a, b), (c, d) = _fold(_runs(n + m * den, den))
+    # R adds the first column to the second; S^-m then takes m times the
+    # first row from the second.
+    b += a
+    d += c
     return (a, b), (c - m * a, d - m * b)
 
 

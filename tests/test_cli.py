@@ -359,16 +359,21 @@ def test_bad_input_exit_2(capsys, tmp_path):
     ("build cone 1", "ellmf mf build cone: error: the following arguments "
      "are required: p1"),
     ("build cone 0 0", "point: (0, 0) is not a projective point"),
-    ("verify A B", "ellmf: error: unrecognized arguments: B"),
+    ("verify A B", "ellmf mf verify: error: unrecognized arguments: B"),
     ("verify FILE --lambda 2",
-     "ellmf: error: unrecognized arguments: --lambda 2"),
+     "ellmf mf verify: error: unrecognized arguments: --lambda 2"),
     ("build kst --lambda 0", "--lambda: must avoid 0 and 1"),
 ])
 def test_mf_argument_errors_exit_2(capsys, argv, message):
     """A word missing, left over or outside its choices is argparse's
     error, under the usage of the parser that found it (the prog before
-    ": error:"); a bad value of a word is the command's own error."""
-    code = run(["mf", *argv.split()])
+    ": error:"), or for a leftover word that of the command; a bad value
+    of a word is the command's own error."""
+    check_argument_error(capsys, ["mf", *argv.split()], message)
+
+
+def check_argument_error(capsys, argv, message):
+    code = run(argv)
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     if ": error: " in message:
@@ -377,6 +382,19 @@ def test_mf_argument_errors_exit_2(capsys, argv, message):
         assert err.splitlines()[-1].startswith(message)
     else:
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("cohom 1 2 3", "ellmf cohom: error: unrecognized arguments: 3"),
+    ("slope-word 2/5 7",
+     "ellmf slope-word: error: unrecognized arguments: 7"),
+    ("reduce-rd 1 2 --lambda 3",
+     "ellmf reduce-rd: error: unrecognized arguments: --lambda 3"),
+])
+def test_leftover_words_reported_by_the_command(capsys, argv, message):
+    """Words a command does not take are reported under its own usage,
+    not the top-level one."""
+    check_argument_error(capsys, argv.split(), message)
 
 
 def test_lambda_refused_on_file_actions(capsys, tmp_path):

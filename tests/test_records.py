@@ -250,6 +250,16 @@ def test_inherited_init_binds_each_field_once(name):
         assert str(info.value).startswith(f"{name}("), info.value
 
 
+def test_storer_count_includes_the_object():
+    # As for self in a method, the storer's count includes the object: one
+    # field, two given, reads "takes 2 ... 3 were given".
+    assert Certificate._fields == ("failures",)
+    with pytest.raises(TypeError) as info:
+        Certificate((), 1)
+    assert str(info.value) == \
+        "Certificate() takes 2 positional arguments but 3 were given"
+
+
 def test_certificate_cache_is_not_a_field():
     """The cached certificate (of X*Y = XY here) lives on the object but
     takes no part in ==, hash or repr."""

@@ -65,3 +65,23 @@ def test_reduce_orbit_error_is_typed(monkeypatch):
     with pytest.raises(OrbitError, match="meets the domain 4 times"):
         reduce_to_fundamental((1, 1))
     assert issubclass(OrbitError, ValueError)
+
+
+def test_reduce_matches_the_naive_loop():
+    # The shifts computed twice over, as first written.
+    for r in range(-50, 51):
+        for d in range(-50, 51):
+            if (r, d) == (0, 0):
+                continue
+            hits = [(shift_rd((r, d), k), k) for k in range(4)
+                    if in_fundamental_domain(shift_rd((r, d), k))]
+            assert [reduce_to_fundamental((r, d))] == hits, (r, d)
+
+
+def test_mat_mul_matches_the_sum_of_products():
+    ms = [SHIFT_MATRIX, IDENTITY, ((2, -3), (5, 7)), ((0, 1), (-1, 4))]
+    for m1 in ms:
+        for m2 in ms:
+            assert mat_mul(m1, m2) == tuple(
+                tuple(sum(m1[i][k] * m2[k][j] for k in range(2))
+                      for j in range(2)) for i in range(2))

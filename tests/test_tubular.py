@@ -1,11 +1,18 @@
 import random
 import time
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:       # test-only dependency; the property test skips
+    st = None
+
 from ellmf.k0 import K0Class, euler_pairing, simple_class
-from ellmf.shift import mat_apply
+from ellmf.shift import mat_apply, mat_mul
 from ellmf.tubular import (
     MutationWord, R_MATRIX, S_MATRIX, phi_from_infinity, mutate_pair_left,
     mutate_pair_right, tube_invariants, word_for_slope,
@@ -23,6 +30,60 @@ def apply_letters(word: str, q: Fraction) -> Fraction:
     for ch in reversed(word):
         q = q / (q + 1) if ch == "R" else q + 1
     return q
+
+
+def oracle_runs(q: Fraction):
+    """Independent oracle for the word of q > 0: undo the letters on the
+    slope itself, S^-k: q -> q - k while q > 1, R^-k: 1/q -> 1/q - k while
+    q < 1, each k the most that keeps the slope >= 1 or <= 1."""
+    runs = []
+    while q != 1:
+        if q > 1:
+            k = ceil(q) - 1
+            runs.append(("S", k))
+            q -= k
+        else:
+            k = ceil(1 / q) - 1
+            runs.append(("R", k))
+            q = 1 / (1 / q - k)
+    return tuple(runs)
+
+
+def oracle_word_matrix(q: Fraction):
+    """The explicit product of the R^k and S^k matrices, outermost first."""
+    out = ((1, 0), (0, 1))
+    for ch, k in oracle_runs(q):
+        out = mat_mul(out, ((1, k), (0, 1)) if ch == "R"
+                      else ((1, 0), (k, 1)))
+    return out
+
+
+def oracle_phi(q: Fraction):
+    """The slope matrix as first defined: the word matrix of q + m, then R,
+    then S^-m, with m = floor(-q) + 1 for q <= 0 and 0 otherwise."""
+    m = 0 if q > 0 else floor(-q) + 1
+    return mat_mul(((1, 0), (-m, 1)),
+                   mat_mul(oracle_word_matrix(q + m), R_MATRIX))
+
+
+ORACLE_SLOPES = sorted({Fraction(n, d) for n in range(-60, 61)
+                        for d in range(1, 41)}
+                       | {Fraction(q) for q in (0, 1, -1, 10**5, -10**9)})
+
+
+def test_phi_from_infinity_matches_the_product_oracle():
+    for q in ORACLE_SLOPES:
+        assert phi_from_infinity(q) == oracle_phi(q), q
+        if q.denominator == 1:
+            assert phi_from_infinity(int(q)) == oracle_phi(q), q
+
+
+def test_word_matrix_matches_the_product_oracle():
+    for q in ORACLE_SLOPES:
+        if q > 0:
+            w = word_for_slope(q)
+            assert w.runs == oracle_runs(q), q
+            assert w.matrix() == oracle_word_matrix(q), q
 
 
 def test_generator_matrices():
@@ -163,3 +224,16 @@ def test_k0_mutations():
     # Here chi(f, e) = 0, so the right mutation undoes the left one.
     assert euler_pairing(f, e) == 0
     assert rg == f
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_phi_wide_slopes_are_unimodular_onto_the_slope():
+    """The second column is the slope's (denominator, numerator)."""
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    def check(n, d):
+        q = Fraction(n, d)
+        (a, b), (c, e) = phi_from_infinity(q)
+        assert a * e - b * c == 1
+        assert (b, e) == (q.denominator, q.numerator) and b > 0
+    check()
