@@ -6,7 +6,14 @@ The public names below are resolved on first use (PEP 562), so
 `import ellmf` loads no layer; likewise each command of `ellmf.cli`
 imports only the layers it computes with.  In the library modules an
 import is deferred into a function only where that function runs at most
-once per operation; hot paths import at module level.
+once per operation; hot paths import at module level.  The rule covers
+the standard library too: `json` and `fractions`, which only some
+commands use, are imported in the functions that use them, and no module
+imports `pathlib`.  One such function runs more often: `cli.parse_rational`
+runs once per coefficient of a file (77 times for a cone), and its
+`fractions` import measured 1.0 us a call (2.3 against 3.3 us; `timeit`,
+Intel Xeon, Python 3.11.7), about 0.08 ms per file against a 100 ms
+process.
 """
 
 _EXPORTS = {

@@ -10,17 +10,17 @@ verification/classification, 2 invalid input; a reader that closes
 stdout early ends the output, not the exit code.  Each command and
 (de)serializer imports the layers it uses, so a process loads no other;
 a repeated import of a loaded module costs microseconds, against the tens
-of milliseconds a process takes to start.
+of milliseconds a process takes to start.  The same holds for the standard
+library: `json` is imported where a file is read or json printed, and
+`fractions` where a rational is parsed.  A process builds the parser of
+the command it was given and no other (see build_parser).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from fractions import Fraction
-from pathlib import Path
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 # Integer arguments stay within this many digits, so that q_form of a class
@@ -42,6 +42,7 @@ class CheckFailed(Exception):
 
 
 def parse_rational(text: str, where: str = "argument") -> Fraction:
+    from fractions import Fraction
     if not RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"{where}: not a rational literal: {text!r}")
     try:
@@ -210,9 +211,13 @@ def betti_from_json(obj) -> tables.BettiTable:
 
 
 def _read_json(path: str):
+    import json
     try:
-        text = (sys.stdin.read() if path == "-"
-                else Path(path).read_text(encoding="utf-8"))
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
     try:
@@ -225,6 +230,7 @@ def _read_json(path: str):
 # --- rendering ------------------------------------------------------------
 
 def emit_json(obj) -> None:
+    import json
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
@@ -511,77 +517,85 @@ MF_KINDS = {"kst": {}, "linear": {"i": ("1", "2", "3", "4")},
 
 
 class _KindWords(argparse.Action):
-    """mf build's words, which the parser in const reads by kind.  A "--"
-    before the kind moves behind it, where it still marks -5/2 as a word."""
+    """mf build's words, read by a parser of the kinds that is built only
+    when build runs, with the option parsers in const as each kind's
+    parents.  A "--" before the kind moves behind it, where it still marks
+    -5/2 as a word."""
 
     def __call__(self, parser, namespace, words, option_string=None):
         if words[:1] == ["--"]:
             words = words[1:2] + ["--"] * (len(words) > 2) + words[2:]
-        self.const.parse_args(words, namespace)
+        kinds = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+        kind = kinds.add_subparsers(dest="kind", required=True)
+        for name, args in MF_KINDS.items():
+            p = kind.add_parser(name, parents=self.const)
+            for word, choices in args.items():
+                p.add_argument(word, choices=choices)
+        kinds.parse_args(words, namespace)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_command(group, name: str, func, *parents) -> None:
+    """Add the parser of command or verb `name`, which runs func, to the
+    subparsers `group`, with the option parsers `parents`."""
+    p = group.add_parser(name, parents=parents)
+    p.set_defaults(func=func, parser=p)
+    if name == "roots":
+        for option in ("--m-max", "--n-min", "--n-max"):
+            p.add_argument(option, type=_integer, default=0)
+    elif name == "class-info":
+        for word in ("a0", "a1", "a2", "a3", "a4", "n"):
+            p.add_argument(word, type=_integer)
+    elif name in ("cohom", "reduce-rd"):
+        p.add_argument("r", type=_integer)
+        p.add_argument("d", type=_integer)
+    elif name in ("betti-catalog", "ulrich"):
+        bounds = (3, 3, 4) if name == "betti-catalog" else (20, 20, 40)
+        for option, bound in zip(("--a-max", "--b-max", "--r-max"), bounds):
+            p.add_argument(option, type=_integer, default=bound)
+    elif name == "slope-word":
+        p.add_argument("slope")
+    elif name == "mf":
+        lam = argparse.ArgumentParser(add_help=False)
+        lam.add_argument("--lambda", dest="lam", default=argparse.SUPPRESS)
+        verbs = p.add_subparsers(required=True)
+        _add_command(verbs, "build", cmd_mf_build, *parents, lam)
+        _add_command(verbs, "verify", cmd_mf_verify, *parents)
+        _add_command(verbs, "reduce", cmd_mf_reduce, *parents)
+        _add_command(verbs, "betti", cmd_mf_betti, *parents)
+    elif name == "build":
+        p.add_argument("words", nargs=argparse.REMAINDER, action=_KindWords,
+                       const=parents, default=argparse.SUPPRESS,
+                       metavar="KIND",
+                       help="kst | linear I | cone P0 P1 | reduced P0 P1")
+    else:
+        # classify-betti and mf's verify, reduce and betti read one file.
+        p.add_argument("file")
+
+
+def build_parser(word: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `ellmf`.  If word names a command, the top parser
+    holds that command alone: its help and its errors do not read the
+    others, and an error after a command word is that command's.  Any other
+    word, or none, gets every command, for the top-level help and errors."""
     # --format may sit at each level of a command, as --lambda may in mf
     # build.  A subcommand's namespace is copied over its parent's, and
     # parsers share their parents' options, so only the top has defaults.
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json", "csv"),
                      default=argparse.SUPPRESS)
-    lam = argparse.ArgumentParser(add_help=False)
-    lam.add_argument("--lambda", dest="lam", default=argparse.SUPPRESS)
     top = argparse.ArgumentParser(prog="ellmf")
     top.set_defaults(format="text", lam="sym")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def command(group, name, func, *parents):
-        p = group.add_parser(name, parents=[fmt, *parents])
-        p.set_defaults(func=func, parser=p)
-        return p
-
-    p = command(sub, "roots", cmd_roots)
-    for option in ("--m-max", "--n-min", "--n-max"):
-        p.add_argument(option, type=_integer, default=0)
-
-    p = command(sub, "class-info", cmd_class_info)
-    for name in ("a0", "a1", "a2", "a3", "a4", "n"):
-        p.add_argument(name, type=_integer)
-
-    p = command(sub, "cohom", cmd_cohom)
-    p.add_argument("r", type=_integer)
-    p.add_argument("d", type=_integer)
-
-    p = command(sub, "betti-catalog", cmd_betti_catalog)
-    p.add_argument("--a-max", type=_integer, default=3)
-    p.add_argument("--b-max", type=_integer, default=3)
-    p.add_argument("--r-max", type=_integer, default=4)
-
-    command(sub, "classify-betti", cmd_classify_betti).add_argument("file")
-
-    p = command(sub, "reduce-rd", cmd_reduce_rd)
-    p.add_argument("r", type=_integer)
-    p.add_argument("d", type=_integer)
-
-    command(sub, "slope-word", cmd_slope_word).add_argument("slope")
-
-    verbs = sub.add_parser("mf", parents=[fmt]).add_subparsers(required=True)
-    kinds = argparse.ArgumentParser(prog="ellmf mf build", add_help=False)
-    kind = kinds.add_subparsers(dest="kind", required=True)
-    for name, words in MF_KINDS.items():
-        p = kind.add_parser(name, parents=[fmt, lam])
-        for word, choices in words.items():
-            p.add_argument(word, choices=choices)
-    command(verbs, "build", cmd_mf_build, lam).add_argument(
-        "words", nargs=argparse.REMAINDER, action=_KindWords, const=kinds,
-        default=argparse.SUPPRESS, metavar="KIND",
-        help="kst | linear I | cone P0 P1 | reduced P0 P1")
-    for name, func in (("verify", cmd_mf_verify), ("reduce", cmd_mf_reduce),
-                       ("betti", cmd_mf_betti)):
-        command(verbs, name, func).add_argument("file")
-
-    p = command(sub, "ulrich", cmd_ulrich)
-    p.add_argument("--a-max", type=_integer, default=20)
-    p.add_argument("--b-max", type=_integer, default=20)
-    p.add_argument("--r-max", type=_integer, default=40)
+    # The commands in the order `ellmf -h` lists them, with the function
+    # each runs (mf runs none, its verbs theirs), named here so that a
+    # wrapper put on a cmd_ function, as a tracer does, is the one run.
+    commands = {"roots": cmd_roots, "class-info": cmd_class_info,
+                "cohom": cmd_cohom, "betti-catalog": cmd_betti_catalog,
+                "classify-betti": cmd_classify_betti,
+                "reduce-rd": cmd_reduce_rd, "slope-word": cmd_slope_word,
+                "mf": None, "ulrich": cmd_ulrich}
+    for name in [word] if word in commands else commands:
+        _add_command(sub, name, commands[name], fmt)
     return top
 
 
@@ -589,7 +603,8 @@ def run(argv) -> int:
     try:
         # A subcommand hands the words it did not take up to the top parser;
         # they are reported under the usage of the command that was picked.
-        args, extra = build_parser().parse_known_args(argv)
+        parser = build_parser(argv[0] if argv else None)
+        args, extra = parser.parse_known_args(argv)
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:

@@ -10,7 +10,6 @@ the Euler pairing and the affine-D4 root classification all live here.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 
 from ._record import Record
@@ -89,6 +88,7 @@ def chi(cl: K0Class) -> int:
 def slope(cl: K0Class) -> Fraction | None:
     """deg/rk as a reduced Fraction, or None for rank 0: a torsion class
     (slope infinity) and the zero-type classes alike."""
+    from fractions import Fraction
     r = rank(cl)
     return Fraction(degree(cl), r) if r else None
 

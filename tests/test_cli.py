@@ -407,6 +407,20 @@ def test_lambda_refused_on_file_actions(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_unreadable_file_named_as_given(capsys, tmp_path, monkeypatch):
+    """A file that cannot be read is exit 2, with its path as it was given;
+    a "/" after a file's name is the operating system's error."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kst.json").write_text(json.dumps(mf_to_json(KST, None)))
+    assert run(["mf", "verify", "./missing.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read ./missing.json: [Errno 2] No such file or "
+        "directory: './missing.json'\n")
+    assert run(["mf", "verify", "kst.json/"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read kst.json/: [Errno 20] Not a directory")
+
+
 # --- the exit-code contract of a real process ------------------------------
 
 def ellmf_process(argv, **kwargs):

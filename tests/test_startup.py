@@ -5,7 +5,11 @@ command run in a fresh interpreter loads exactly the layers it computes
 with, so `roots` never compiles the matrix-factorization stack and `mf
 build` never compiles the sheaf tables.  No command loads `dataclasses` or
 `inspect`: the value classes are plain `ellmf._record.Record` subclasses.
+Of the standard library, no command loads `pathlib`; `fractions` (with
+`decimal`) loads only where a rational is parsed or a slope or scalar
+built, and `json` only where a file is read or json printed.
 """
+import ast
 import importlib
 import json
 import os
@@ -47,32 +51,37 @@ EXPORTS = {
 NAMES = sorted(n for names in EXPORTS.values() for n in names)
 
 # The modules each command loads besides `ellmf` and `ellmf.cli`; every
-# layer with a value class brings the record base `_record`.
+# layer with a value class brings the record base `_record`.  Then the
+# standard-library modules of STDLIB it loads in text format: `fractions`
+# brings `decimal`, and a command that reads a file loads `json`.
 K0 = {"_record", "k0"}
 SHEAF = K0 | {"shift", "tables"}
 MF = {"_record", "mf", "poly", "qlambda"}
+FRACTIONS = {"fractions", "decimal"}
 COMMANDS = [
-    (["roots", "--m-max", "1"], K0),
-    (["class-info", "1", "1", "0", "0", "0", "0"], K0),
-    (["cohom", "7", "-20"], SHEAF),
-    (["classify-betti", "{table}"], SHEAF),
-    (["ulrich", "--a-max", "2", "--b-max", "2", "--r-max", "4"], SHEAF),
-    (["betti-catalog", "--a-max", "1", "--b-max", "1"], SHEAF),
-    (["reduce-rd", "-3", "1"], {"shift"}),
-    (["slope-word", "2/5"], K0 | {"shift", "tubular"}),
-    (["mf", "build", "cone", "1", "1", "--lambda", "2"], MF),
-    (["mf", "verify", "{cone}"], MF),
-    (["mf", "reduce", "{cone}"], MF),
-    (["mf", "betti", "{reduced}"], MF | SHEAF),
+    (["roots", "--m-max", "1"], K0, set()),
+    (["class-info", "1", "1", "0", "0", "0", "0"], K0, FRACTIONS),
+    (["cohom", "7", "-20"], SHEAF, set()),
+    (["classify-betti", "{table}"], SHEAF, {"json"}),
+    (["ulrich", "--a-max", "2", "--b-max", "2", "--r-max", "4"], SHEAF,
+     set()),
+    (["betti-catalog", "--a-max", "1", "--b-max", "1"], SHEAF, set()),
+    (["reduce-rd", "-3", "1"], {"shift"}, set()),
+    (["slope-word", "2/5"], K0 | {"shift", "tubular"}, FRACTIONS),
+    (["mf", "build", "cone", "1", "1", "--lambda", "2"], MF, FRACTIONS),
+    (["mf", "verify", "{cone}"], MF, FRACTIONS | {"json"}),
+    (["mf", "reduce", "{cone}"], MF, FRACTIONS | {"json"}),
+    (["mf", "betti", "{reduced}"], MF | SHEAF, FRACTIONS | {"json"}),
 ]
+STDLIB = {"dataclasses", "inspect", "pathlib"} | FRACTIONS | {"json"}
 
 # Runs one command through cli.run, then prints the loaded ellmf modules
-# and which of `dataclasses` and `inspect` are loaded.
-CHILD = ("import json, sys; from ellmf.cli import run; "
+# and those of STDLIB, before importing anything itself.
+CHILD = ("import sys; from ellmf.cli import run; "
          "code = run(sys.argv[1:]); "
-         "print(json.dumps([sorted(m for m in sys.modules "
-         "if m.startswith('ellmf')), sorted({'dataclasses', 'inspect'} "
-         "& set(sys.modules))])); sys.exit(code)")
+         "print((sorted(m for m in sys.modules if m.startswith('ellmf')), "
+         f"sorted(set({sorted(STDLIB)}) & set(sys.modules)))); "
+         "sys.exit(code)")
 
 
 def child_env() -> dict:
@@ -111,17 +120,33 @@ def test_import_ellmf_loads_no_layer():
     assert proc.stdout.split() == ["['ellmf']"]
 
 
-@pytest.mark.parametrize("argv,layers", COMMANDS,
-                         ids=[" ".join(a[:2] if a[0] == "mf" else a[:1])
-                              for a, _ in COMMANDS])
-def test_command_loads_only_its_layers(inputs, argv, layers):
+def stdlib_loaded(inputs, argv, layers, fmt):
+    """Run one command under -S, check that it loads exactly its layers,
+    and return the STDLIB modules it loaded.  -S because a site `.pth`
+    file may import modules such as `pathlib` before any command runs."""
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
-    proc = python("-c", CHILD, *argv, "--format", "json")
+    proc = python("-S", "-c", CHILD, *argv, "--format", fmt)
     assert proc.returncode == 0, proc.stderr
-    loaded, unwanted = json.loads(proc.stdout.splitlines()[-1])
+    loaded, used = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert loaded == sorted({"ellmf", "ellmf.cli"}
                             | {f"ellmf.{m}" for m in layers})
-    assert unwanted == []
+    return used
+
+
+COMMAND_IDS = [" ".join(a[:2] if a[0] == "mf" else a[:1])
+               for a, _, _ in COMMANDS]
+
+
+@pytest.mark.parametrize("argv,layers,stdlib", COMMANDS, ids=COMMAND_IDS)
+def test_command_loads_only_its_layers(inputs, argv, layers, stdlib):
+    assert stdlib_loaded(inputs, argv, layers, "json") == sorted(
+        stdlib | {"json"})
+
+
+@pytest.mark.parametrize("argv,layers,stdlib", COMMANDS, ids=COMMAND_IDS)
+def test_text_output_loads_json_only_to_read_a_file(inputs, argv, layers,
+                                                    stdlib):
+    assert stdlib_loaded(inputs, argv, layers, "text") == sorted(stdlib)
 
 
 def test_public_names_pinned():
