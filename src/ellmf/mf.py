@@ -6,7 +6,7 @@ admissible parameter value.  reduce_mf pivots on +-1 first, so a cone's
 reduction holds wherever the point is defined.  Its units sit where a row
 twist equals a column twist, so it reads its pivots off those degree-0
 constants first and then forms only the cells that survive or that a
-later step reads (see reduce_mf).
+later step reads (see reduce_mf).  betti_of_mf reads the same pivots.
 
 Verification composes A*B, and B*A only when A*B has a defect or A is not
 square: over the integral domain Q(lambda)[X, Y], A*B = f*I with f != 0
@@ -14,7 +14,7 @@ gives det A * det B = f^n != 0, so B = f*A^-1 over the fraction field and
 B*A = f*I follows.  Each factorization caches its certificate, so checking
 the same object twice composes once.
 
-Two constructions store an ok certificate when they build; any other
+Three constructions store an ok certificate when they build; any other
 factorization, a copy included, gets the full check on first use.
 - cone(M, N, phi, psi), which builds every mf_cone and direct_sum: when
   M and N share f, pass verification and are square, and phi and psi are
@@ -33,6 +33,9 @@ factorization, a copy included, gets the full check on first use.
   on f is needed because a specialized f can vanish: scaling B by
   lambda - 2 and f by the same factor verifies, while at lambda = 2 the
   full check reports f is zero.
+- reduce_mf holds the certificate of its input, which must pass: each
+  Schur step keeps both products f*I and keeps the entries homogeneous of
+  their twists (see reduce_mf), and f is the input's.
 """
 from __future__ import annotations
 
@@ -470,6 +473,15 @@ def _eliminate(g: GradedMatrix, pivots, partner_pivots) -> GradedMatrix:
                                  tuple(g.col_twists[j] for j in cols))
 
 
+def _pivots(m: MatrixFactorization):
+    """(A's pivots, B's pivots) of reduce_mf on m, each in its matrix's own
+    indices, once m's certificate passes; raises ValueError naming its
+    first failure otherwise."""
+    m._certificate.check()
+    a_pivots = _plan(m.A, ())
+    return a_pivots, _plan(m.B, a_pivots)
+
+
 def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     """Strip unit pivots until no scalar entries remain; the result is the
     minimal factorization in the same stable class.
@@ -484,7 +496,8 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     The units of A are exhausted first, then those of B; a B step only
     deletes rows and columns of A, so it never creates a unit there.
     The input must pass verification; its cached certificate is read, so
-    an input verified before is not checked again.
+    an input verified before is not checked again, and the result holds
+    it (see the module docstring).
 
     The pivot is the first unit equal to +-1, else the first rational
     constant, else the first unit, each in row-major order.  Every cone
@@ -505,32 +518,30 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     cell, before it applies A's Schur steps; B goes alike.  Entries are
     canonical, so the result is the step-by-step loop's.
     """
-    m._certificate.check()
-    a_pivots = _plan(m.A, ())
-    b_pivots = _plan(m.B, a_pivots)
-    return MatrixFactorization(_eliminate(m.A, a_pivots, b_pivots),
-                               _eliminate(m.B, b_pivots, a_pivots), m.f)
-
-
-def is_minimal(m: MatrixFactorization) -> bool:
-    """Whether no entry of A or B is a unit; every cell is read, since m
-    need not be homogeneous."""
-    return not any(e.is_scalar() for g in (m.A, m.B)
-                   for row in g.entries for e in row)
+    a_pivots, b_pivots = _pivots(m)
+    red = MatrixFactorization(_eliminate(m.A, a_pivots, b_pivots),
+                              _eliminate(m.B, b_pivots, a_pivots), m.f)
+    red.__dict__["_certificate"] = m._certificate
+    return red
 
 
 def betti_of_mf(m: MatrixFactorization) -> BettiTable:
-    """Betti numbers of the presented module, read off the twist vectors of
-    a minimal factorization."""
+    """The Betti table of the minimal part of m, which must pass
+    verification (else ValueError, as from reduce_mf): the twists of A's
+    rows (i = 0) and columns (i = 1) that no pivot of reduce_mf deletes,
+    read off its plan without forming a polynomial (see _plan).  Like
+    reduce_mf's result, it holds for generic lambda when a pivot depends
+    on lambda."""
     from .tables import BettiTable
-    if not is_minimal(m):
-        raise ValueError("reduce first: factorization has unit entries")
-    d: dict[tuple[int, int], int] = {}
-    for u in m.A.row_twists:
-        d[(0, u)] = d.get((0, u), 0) + 1
-    for v in m.A.col_twists:
-        d[(1, v)] = d.get((1, v), 0) + 1
-    return BettiTable(d)
+    a_pivots, b_pivots = _pivots(m)
+    gone = ({i for i, _ in a_pivots} | {l for _, l in b_pivots},
+            {j for _, j in a_pivots} | {k for k, _ in b_pivots})
+    cells: dict[tuple[int, int], int] = {}
+    for i, twists in enumerate((m.A.row_twists, m.A.col_twists)):
+        for n, t in enumerate(twists):
+            if n not in gone[i]:
+                cells[(i, t)] = cells.get((i, t), 0) + 1
+    return BettiTable._trusted(tuple(sorted(cells.items())))
 
 
 BRANCH_POINTS = (PointP1(Scalar.of(0), ONE), PointP1(ONE, Scalar.of(0)),

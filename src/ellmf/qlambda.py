@@ -7,7 +7,9 @@ coefficients of N and D together have gcd 1.  Zero is () / (1,).  Scalar
 is a Record whose fields _n and _d hold N and D; its constructor takes
 Fraction coefficient sequences and normalises them into that form, and
 Scalar._trusted stores a pair already in it.  As the form is unique, ==
-and hash are Record's, generated for the pair (_n, _d).
+and hash are Record's, generated for the pair (_n, _d).  The constructor,
+Scalar.of and specialize take an int, a Fraction or a string such as
+"2/5", and refuse a float or a bool with a ValueError naming it.
 
 Arithmetic runs on Python ints, fraction-free in the style of Bareiss.
 Every sum and product, `+`, `-` and `*` included, is one sum of products,
@@ -35,8 +37,18 @@ ZPoly = tuple[int, ...]            # the same over the integers, trimmed
 P_ONE: Poly = (Fraction(1),)
 
 
+def _exact(v, what: str) -> Fraction:
+    """Fraction(v), refusing a float, which Fraction would read as its
+    binary fraction (0.1 as 3602879701896397/36028797018963968), and a
+    bool, which it would read as 0 or 1.  Strings such as "2/5" pass."""
+    if isinstance(v, (float, bool)):
+        raise ValueError(f"{what} must be an int, a Fraction or a string, "
+                         f"got {v!r}")
+    return Fraction(v)
+
+
 def p_trim(c) -> Poly:
-    c = [Fraction(v) for v in c]
+    c = [_exact(v, "coefficient") for v in c]
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
@@ -198,7 +210,7 @@ class Scalar(Record):
     def of(cls, v) -> "Scalar":
         if isinstance(v, Scalar):
             return v
-        v = Fraction(v)
+        v = _exact(v, "scalar")
         return Scalar._trusted((v.numerator,), (v.denominator,)) if v else ZERO
 
     def __bool__(self) -> bool:
@@ -250,7 +262,7 @@ class Scalar(Record):
 
     def specialize(self, value: Fraction) -> "Scalar":
         if value.__class__ is not Fraction:
-            value = Fraction(value)
+            value = _exact(value, "lambda value")
         n, d = self._n, self._d
         if len(n) <= 1 and len(d) == 1:
             return self

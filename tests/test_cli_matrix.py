@@ -62,6 +62,7 @@ MATRIX = [
     ["mf", "betti", "{cone}"],
     ["mf", "verify", "{scrambled}"],
     ["mf", "reduce", "{scrambled}"],
+    ["mf", "betti", "{scrambled}"],
 ]
 
 
@@ -78,7 +79,7 @@ def make_inputs() -> dict[str, str]:
     # determinant 1: A' = P*A and B' = B*P^-1 stay polynomial in lambda,
     # but the only units are L-1 and L-2, so the reduced A is -X/(L-1),
     # which holds at every admissible lambda and has no file form.  verify
-    # exits 0 and reduce exits 1.
+    # and betti exit 0, and reduce exits 1.
     def const(a, b):
         """The constant a + b*lambda."""
         return BivariatePoly.monomial(0, 0, LAMBDA * b + a)

@@ -19,14 +19,14 @@ except ImportError:       # test-only dependency; the property test skips
 from ellmf.mf import (
     BRANCH_POINTS, F, FX, FY, KST, KST1, KST2, LINEAR, PHI_PSI, GradedMatrix,
     MatrixFactorization, PointP1, _chain_maps, _eliminate, _plan, _zeros,
-    betti_of_mf, cone, direct_sum, is_minimal, lemma63_invariants, mf_cone,
+    betti_of_mf, cone, direct_sum, lemma63_invariants, mf_cone,
     mf_linear, mf_Mp_reduced, reduce_mf, verify_mf,
 )
 from ellmf.poly import BivariatePoly, X, Y
 from ellmf.qlambda import LAMBDA, ONE, Scalar
 from ellmf.shift import shift_rd
 from ellmf.tables import rd_from_betti, suspend_betti, translate_betti
-from mf_reference import minor, reference_reduce, reference_steps
+from mf_reference import find_scalar, minor, reference_reduce, reference_steps
 
 
 def sample_points(count, seed=71):
@@ -469,7 +469,7 @@ def test_verify_catches_twist_and_homogeneity():
 def test_reduce_cone_matches_reduced():
     for p in sample_points(20):
         red = reduce_mf(mf_cone(p))
-        assert verify_mf(red).ok
+        assert fresh_certificate(red).ok
         assert sorted(red.A.row_twists) == [0, 1]
         assert sorted(red.A.col_twists) == [2, 3]
         assert betti_of_mf(red) == betti_of_mf(mf_Mp_reduced(p))
@@ -478,7 +478,7 @@ def test_reduce_cone_matches_reduced():
 def test_reduce_symbolic_point():
     p = PointP1(LAMBDA, ONE)
     red = reduce_mf(mf_cone(p))
-    assert verify_mf(red).ok
+    assert fresh_certificate(red).ok
     assert betti_of_mf(red) == betti_of_mf(mf_Mp_reduced(p))
 
 
@@ -551,7 +551,7 @@ def test_reduce_then_specialize_where_p0_has_no_pole():
     case that remains is a point whose p0 itself has a pole there."""
     red = reduce_mf(mf_cone(PointP1(LAMBDA - 2, ONE)))
     spec = red.specialize(Fraction(2))
-    assert verify_mf(spec).ok
+    assert fresh_certificate(spec).ok
     assert betti_of_mf(spec) == betti_of_mf(red)
     with pytest.raises(ZeroDivisionError):
         reduce_mf(mf_cone(PointP1(ONE, LAMBDA - 2))).specialize(Fraction(2))
@@ -575,7 +575,7 @@ def test_reduce_and_specialize_give_the_same_betti_table():
         assume(c * lam + d != 0 or c == d == 0)
         m = mf_cone(PointP1(LAMBDA * a + b, LAMBDA * c + d))
         one, two = reduce_mf(m).specialize(lam), reduce_mf(m.specialize(lam))
-        assert verify_mf(one).ok and verify_mf(two).ok
+        assert fresh_certificate(one).ok and fresh_certificate(two).ok
         assert betti_of_mf(one) == betti_of_mf(two)
 
     check()
@@ -665,7 +665,8 @@ def test_reduce_units_hidden_by_base_change():
     assert m.A.entry(0, 2).is_scalar() and m.A.entry(1, 3).is_scalar()
     assert m.B.entry(0, 4).is_scalar() and m.B.entry(1, 5).is_scalar()
     red = reduce_mf(m)
-    assert verify_mf(red).ok and is_minimal(red)
+    assert fresh_certificate(red).ok
+    assert find_scalar(red.A) is None and find_scalar(red.B) is None
     assert betti_of_mf(red) == betti_of_mf(base)
     for g, h in ((red.A, base.A), (red.B, base.B)):
         assert sorted(g.row_twists) == sorted(h.row_twists)
@@ -784,9 +785,69 @@ def test_verify_reports_zero_f():
         zero_f.syzygy()
 
 
-def test_betti_requires_minimal():
-    with pytest.raises(ValueError):
-        betti_of_mf(mf_cone(PointP1(ONE, ONE)))
+def test_betti_of_mf_matches_the_reference_reduction():
+    """betti_of_mf reads the table of the minimal part off the plan, with
+    no reduction: on every input of
+    test_reduce_matches_step_by_step_reference, cones and the lambda-unit
+    scramble among them, it equals the table of the step-by-step loop's
+    result, which gets the full check."""
+    for m in _reduction_sources():
+        assert betti_of_mf(m) == betti_of_mf(reference_reduce(m))
+    assert betti_of_mf(mf_cone(PointP1(ONE, ONE))).as_dict() == {
+        (0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 1}
+    assert betti_of_mf(_lambda_unit_scrambled()).as_dict() == {
+        (0, 0): 1, (1, 1): 1}
+
+
+def test_reduction_holds_its_input_certificate():
+    """reduce_mf stores its input's certificate on the result, and on
+    every input of test_reduce_matches_step_by_step_reference it equals
+    the full check of a fresh copy."""
+    for m in _reduction_sources():
+        red = reduce_mf(m)
+        assert vars(red)["_certificate"] is verify_mf(m)
+        assert red._certificate == MatrixFactorization(
+            red.A, red.B, red.f)._certificate
+
+
+def test_betti_of_mf_forms_no_polynomial(monkeypatch):
+    """On a cone, which stored its certificate when built, betti_of_mf
+    makes no poly.dot call, counted as in
+    test_reduction_forms_only_surviving_cells: the plan reads constants
+    alone."""
+    calls = []
+    dot = ellmf.poly.dot
+
+    def counting(pairs):
+        calls.append(1)
+        return dot(pairs)
+
+    for module in (ellmf.poly, ellmf.mf):
+        monkeypatch.setattr(module, "dot", counting)
+    for p in CONE_POINTS:
+        m = mf_cone(p)
+        calls.clear()
+        assert betti_of_mf(m).as_dict() == {(0, 0): 1, (0, 1): 1,
+                                            (1, 2): 1, (1, 3): 1}
+        assert calls == []
+    reduce_mf(m)
+    assert calls
+
+
+def test_betti_refuses_a_non_factorization_as_reduce_does():
+    """betti_of_mf raises reduce_mf's error, which names the first
+    failure, on input that fails verification, minimal or not."""
+    cone = mf_cone(PointP1(LAMBDA, ONE))
+    line = mf_linear(1)
+    for bad in (_with_entry(cone, "B", 0, 1, BivariatePoly.monomial(0, 0)),
+                MatrixFactorization(KST.A, KST.A.twist(1), KST.f),
+                MatrixFactorization(line.A, line.B, BivariatePoly.zero())):
+        with pytest.raises(ValueError) as want:
+            reduce_mf(bad)
+        with pytest.raises(ValueError) as got:
+            betti_of_mf(bad)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("input fails verification: ")
 
 
 def test_reduce_rejects_broken_input():
@@ -913,13 +974,14 @@ def test_verified_cone_runs_no_full_compose(monkeypatch):
 
 
 def test_constructions_store_the_certificate_and_no_link():
-    """A cone, direct sum, specialization, twist or syzygy of passing
-    parts holds its ok certificate from the start and nothing else, so
-    no part or source is kept alive; a construction of a failing part
-    holds nothing until verify_mf runs its full check."""
+    """A cone, direct sum, specialization, twist, syzygy or reduction of
+    passing parts holds its ok certificate from the start and nothing
+    else, so no part or source is kept alive; a construction of a failing
+    part holds nothing until verify_mf runs its full check."""
     c = mf_cone(PointP1(LAMBDA, ONE))
     for m in (c, direct_sum(KST, mf_linear(1)), c.specialize(Fraction(5, 2)),
-              c.twist(-1), c.syzygy(), mf_linear(2).syzygy().twist(1)):
+              c.twist(-1), c.syzygy(), mf_linear(2).syzygy().twist(1),
+              reduce_mf(c)):
         assert vars(m).keys() == {"_certificate"}
         assert verify_mf(m).ok and vars(m).keys() == {"_certificate"}
     assert verify_mf(c.twist(1)) is verify_mf(c)
@@ -1074,6 +1136,6 @@ def test_twist_and_syzygy_dictionary(m):
             + [(MatrixFactorization.syzygy, suspend_betti(betti),
                 shift_rd(rd, 2))]):
         for out in (reduce_mf(op(m)), op(red)):
-            assert verify_mf(out).ok
+            assert fresh_certificate(out).ok
             assert betti_of_mf(out) == want_betti
             assert rd_from_betti(betti_of_mf(out)) == want_rd

@@ -348,6 +348,28 @@ def test_specialize_int_and_string_as_fraction():
     assert c.specialize(7) == c.specialize("1/2") == c
 
 
+INEXACT_ENTRY_POINTS = {
+    "Scalar.of": lambda v: Scalar.of(v),
+    "Scalar-num": lambda v: Scalar([1, v]),
+    "Scalar-den": lambda v: Scalar([1], [2, v]),
+    "specialize": lambda v: Scalar([1, 2], [3, 1]).specialize(v),
+    "specialize-rational": lambda v: Scalar.of(Fraction(2, 3)).specialize(v),
+    "PointP1": lambda v: mf.PointP1(v, 1),
+    "MatrixFactorization.specialize": lambda v: mf.KST.specialize(v),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+@pytest.mark.parametrize("entry", sorted(INEXACT_ENTRY_POINTS))
+def test_float_and_bool_refused_by_name(entry, value):
+    """Fraction reads a float as its binary fraction, 0.1 as
+    3602879701896397/36028797018963968, and a bool as 0 or 1.  Every way
+    into Q(lambda) refuses both with a ValueError that names the value,
+    specialize on a constant included."""
+    with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+        INEXACT_ENTRY_POINTS[entry](value)
+
+
 @st.composite
 def bivariate_polys(draw):
     keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),

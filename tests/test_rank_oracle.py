@@ -30,12 +30,12 @@ from sympy.polys.matrices import DomainMatrix           # noqa: E402
 import ellmf.poly                                       # noqa: E402
 from ellmf.mf import (BRANCH_POINTS, F, KST, GradedMatrix,  # noqa: E402
                       MatrixFactorization, PointP1, betti_of_mf,
-                      direct_sum, is_minimal, mf_cone, mf_linear,
-                      reduce_mf, verify_mf)
+                      direct_sum, mf_cone, mf_linear, reduce_mf,
+                      verify_mf)
 from ellmf.poly import BivariatePoly                    # noqa: E402
 from ellmf.qlambda import LAMBDA, ONE, Scalar           # noqa: E402
 from ellmf.tables import BettiTable                     # noqa: E402
-from mf_reference import reference_reduce                # noqa: E402
+from mf_reference import find_scalar, reference_reduce  # noqa: E402
 
 L = sympy.Symbol("L")
 FIELD = sympy.QQ.frac_field(L)
@@ -85,13 +85,15 @@ def const(c) -> BivariatePoly:
 def base_change(m: MatrixFactorization, side: int, l: int, k: int, c):
     """m under E = I + c*E_lk (l != k) or the scaling of summand l by the
     unit c (l == k), on the rows (side 0) or the columns (side 1) of A,
-    undone by E^-1 on B; l and k share a twist, so E is graded."""
+    undone by E^-1 on B.  c is a constant, or for l != k a homogeneous
+    polynomial of degree twist_k - twist_l, so E is graded."""
     twists = m.A.col_twists if side else m.A.row_twists
     one, zero = const(1), BivariatePoly.zero()
 
     def matrix(c):
+        c = c if isinstance(c, BivariatePoly) else const(c)
         return GradedMatrix(tuple(
-            tuple(const(c) if (r, s) == (l, k) else one if r == s else zero
+            tuple(c if (r, s) == (l, k) else one if r == s else zero
                   for s in range(len(twists))) for r in range(len(twists))),
             twists, twists)
 
@@ -139,8 +141,10 @@ def test_lambda_unit_reaches_qlambda_dot(monkeypatch):
     assert calls
     assert red.A.entries == ((BivariatePoly.monomial(
         1, 0, -(LAMBDA - 1).inverse()),),)
-    assert verify_mf(red).ok and is_minimal(red)
+    assert verify_mf(MatrixFactorization(red.A, red.B, red.f)).ok
+    assert find_scalar(red.A) is None and find_scalar(red.B) is None
     assert betti_of_mf(red) == oracle_betti(m) == betti_of_mf(mf_linear(1))
+    assert betti_of_mf(m) == oracle_betti(m)
 
 
 small = st.builds(Fraction, st.integers(-4, 4).filter(bool),
@@ -150,16 +154,30 @@ lambda_constants = st.builds(lambda a, b: LAMBDA * b + a,
 constants = st.one_of(small.map(Scalar.of), lambda_constants)
 
 
+def homogeneous(draw, degree: int) -> BivariatePoly:
+    """A homogeneous polynomial of the given degree > 0, each coefficient
+    0 or a constant as above."""
+    coeffs = draw(st.lists(st.one_of(st.none(), constants),
+                           min_size=degree + 1, max_size=degree + 1))
+    return BivariatePoly(((a, degree - a), c)
+                         for a, c in enumerate(coeffs) if c is not None)
+
+
 def scramble(draw, m: MatrixFactorization) -> MatrixFactorization:
-    """m under 1 to 5 random constant graded base changes, each rational or
-    lambda-dependent."""
+    """m under 1 to 5 random graded base changes E = I + c*E_lk, or a
+    scaling of summand l: c is a constant, rational or lambda-dependent,
+    where twist_k = twist_l, and a homogeneous polynomial of degree
+    twist_k - twist_l where that is positive.  The degree-0 blocks change
+    by constant base changes alone, so they stay constant."""
     for _ in range(draw(st.integers(1, 5))):
         side = draw(st.integers(0, 1))
         twists = m.A.col_twists if side else m.A.row_twists
         l = draw(st.integers(0, len(twists) - 1))
         k = draw(st.sampled_from([j for j, t in enumerate(twists)
-                                  if t == twists[l]]))
-        m = base_change(m, side, l, k, draw(constants))
+                                  if t >= twists[l]]))
+        degree = twists[k] - twists[l]
+        c = homogeneous(draw, degree) if degree else draw(constants)
+        m = base_change(m, side, l, k, c)
     return m
 
 
@@ -168,10 +186,12 @@ def scramble(draw, m: MatrixFactorization) -> MatrixFactorization:
 @given(st.data())
 def test_reduced_betti_matches_rank_oracle_under_base_change(index, data):
     """The reduction of a scrambled base has the oracle's Betti table and
-    equals, entries and twists, the step-by-step loop of mf_reference."""
+    equals, entries and twists, the step-by-step loop of mf_reference;
+    the table read off the plan of the scramble itself is the oracle's."""
     m = scramble(data.draw, BASES[index])
     assert verify_mf(m).ok
     red = reduce_mf(m)
     assert red == reference_reduce(m)
-    assert is_minimal(red)
+    assert find_scalar(red.A) is None and find_scalar(red.B) is None
     assert betti_of_mf(red) == oracle_betti(m) == EXPECTED[index]
+    assert betti_of_mf(m) == oracle_betti(m)

@@ -565,14 +565,15 @@ def _assert_sound_class(c):
 
 def test_trusted_tables_equal_their_validated_rebuilds(monkeypatch):
     """Every table built here through _trusted: translates, suspensions,
-    templates, readouts, mirrors and the Euler and closed-form tables; and
+    templates, readouts, mirrors and the Euler and closed-form tables, and
+    the tables mf.betti_of_mf reads off factorizations, minimal or not; and
     every class that the catalog and the classifier build through
     _trusted.  The templates and translates are those of the catalog and
     of this test, which classifies each shifted catalog table, its
     suspension and each readout of a table and its mirror, and rebuilds
     each class as its template shifted back; the classifier builds none."""
     seen = dict.fromkeys(("template_table", "translate_betti", "catalog",
-                          "cohom", "euler"), 0)
+                          "cohom", "euler", "mf"), 0)
     for name in ("template_table", "translate_betti"):
         def checked(*args, name=name, real=getattr(tables, name)):
             t = real(*args)
@@ -622,5 +623,14 @@ def test_trusted_tables_equal_their_validated_rebuilds(monkeypatch):
                 seen["euler"] += 1
     assert seen["catalog"] == 7 * len(classes) and seen["cohom"] > 1000, seen
     assert seen["euler"] > 1000, seen
+    from ellmf import mf
+    cones = [mf.mf_cone(p) for p in mf.BRANCH_POINTS + (mf.PointP1(2, 3),)]
+    for m in ([mf.KST] + [mf.mf_linear(i) for i in range(1, 5)] + cones
+              + [c.syzygy().twist(k) for c in cones for k in (-1, 2)]
+              + [mf.direct_sum(cones[0], mf.KST)]
+              + [mf.reduce_mf(c) for c in cones]):
+        _assert_sound(mf.betti_of_mf(m))
+        seen["mf"] += 1
+    assert seen["mf"] == 26, seen
     assert seen["template_table"] > 10000, seen
     assert seen["translate_betti"] > 10000, seen
