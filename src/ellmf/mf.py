@@ -14,7 +14,7 @@ gives det A * det B = f^n != 0, so B = f*A^-1 over the fraction field and
 B*A = f*I follows.  Each factorization caches its certificate, so checking
 the same object twice composes once.
 
-Three constructions store an ok certificate when they build; any other
+Four constructions store an ok certificate when they build; any other
 factorization, a copy included, gets the full check on first use.
 - cone(M, N, phi, psi), which builds every mf_cone and direct_sum: when
   M and N share f, pass verification and are square, and phi and psi are
@@ -36,6 +36,19 @@ factorization, a copy included, gets the full check on first use.
 - reduce_mf holds the certificate of its input, which must pass: each
   Schur step keeps both products f*I and keeps the entries homogeneous of
   their twists (see reduce_mf), and f is the input's.
+- mf_Mp_reduced(p) builds a factorization of f at every point p.  For
+  p1 = 1 each cell of A*B - f*I vanishes as a polynomial identity in p0,
+  e.g. (X - p0*Y)*Y*l3*l4 + Y^2*p0*l3*l4 = f in cell (0, 0); at [1 : 0]
+  the check is direct.  Every entry is homogeneous of its forced degree,
+  and A is square, so B*A follows as above.
+
+The pivots of reduce_mf are planned once per factorization too (see
+_plan): computed on first use after the certificate passes, or stored by
+the construction that built it.  reduce_mf stores the empty plan on its
+result, which has no unit left in A or in B (see reduce_mf), and so does
+mf_Mp_reduced, since no row twist of its A or B equals a column twist:
+(1, 0) against (2, 3) and (2, 3) against (5, 4).  A plan holds indices
+alone, no part or source.
 """
 from __future__ import annotations
 
@@ -180,8 +193,9 @@ class Certificate(Record):
 class MatrixFactorization(Record):
     """Candidate factorization (A, B) of f, twists included.  The object
     and every field under it are immutable, so its certificate (see
-    verify_mf) depends on its value alone: it is cached on this object, or
-    stored there by the cone or construction that built it."""
+    verify_mf) and its reduction plan depend on its value alone: each is
+    cached on this object, or stored there by the construction that built
+    it."""
 
     __slots__ = ("A", "B", "f", "__dict__")
 
@@ -238,6 +252,16 @@ class MatrixFactorization(Record):
             # period down, hence the shift by deg f.
             _product_defects("B*A", B.compose(A.twist(deg)), f, fails)
         return Certificate(tuple(fails))
+
+    @cached_property
+    def _pivots(self):
+        """(A's pivots, B's pivots) of reduce_mf, each in its matrix's own
+        indices (see _plan), once the certificate passes; raises
+        ValueError naming its first failure otherwise.  Computed on first
+        use unless a construction stored it."""
+        self._certificate.check()
+        a_pivots = tuple(_plan(self.A, ()))
+        return a_pivots, tuple(_plan(self.B, a_pivots))
 
 
 def cone(M: MatrixFactorization, N: MatrixFactorization, phi: GradedMatrix,
@@ -357,11 +381,13 @@ KST = MatrixFactorization(
 def _chain_maps(s: Scalar, t: Scalar):
     """The chain maps from the suspension of KST to its twist at [s : t],
     linear in (s, t): phi = [[s, t], [s*f_x/Y, -t*f_y/X]] and
-    psi = [[-t*f_y/X, -t], [-s*f_x/Y, s]]."""
+    psi = [[-t*f_y/X, -t], [-s*f_x/Y, s]].  Each entry is homogeneous of
+    its cell's degree for every s and t, so both are built trusted."""
     fx, fy = FX_OVER_Y.scale(s), FY_OVER_X.scale(-t)
-    c_s, c_t = (BivariatePoly.monomial(0, 0, v) for v in (s, t))
-    return (GradedMatrix(((c_s, c_t), (fx, fy)), (2, 0), (2, 2)),
-            GradedMatrix(((fy, -c_t), (-fx, c_s)), (3, 3), (5, 3)))
+    c_s, c_t = (BivariatePoly._trusted((((0, 0), v),) if v else ())
+                for v in (s, t))
+    return (GradedMatrix._trusted(((c_s, c_t), (fx, fy)), (2, 0), (2, 2)),
+            GradedMatrix._trusted(((fy, -c_t), (-fx, c_s)), (3, 3), (5, 3)))
 
 
 # (phi0, psi0, phiinf, psiinf): the chain maps of the pencil at [0 : 1] and
@@ -383,7 +409,8 @@ def mf_cone(p: PointP1) -> MatrixFactorization:
 
 def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
     """Minimal 2x2 factorization of the degree-two skyscraper at p, with
-    the cofactors f/XY = l3 l4, f/X = Y l3 l4 and f/Y = X l3 l4."""
+    the cofactors f/XY = l3 l4, f/X = Y l3 l4 and f/Y = X l3 l4.  Stores
+    an ok certificate and the empty plan (see the module docstring)."""
     if p.p1:
         f_over_x = Y * L34
         a00 = X - Y.scale(p.p0)
@@ -399,7 +426,9 @@ def mf_Mp_reduced(p: PointP1) -> MatrixFactorization:
                          (1, 0), (2, 3))
         B = GradedMatrix(((f_over_y, -xsq), (BivariatePoly.zero(), Y)),
                          (2, 3), (5, 4))
-    return MatrixFactorization(A, B, F)
+    m = MatrixFactorization(A, B, F)
+    m.__dict__.update(_certificate=Certificate(()), _pivots=((), ()))
+    return m
 
 
 # --- reduction to minimal form -------------------------------------------
@@ -473,15 +502,6 @@ def _eliminate(g: GradedMatrix, pivots, partner_pivots) -> GradedMatrix:
                                  tuple(g.col_twists[j] for j in cols))
 
 
-def _pivots(m: MatrixFactorization):
-    """(A's pivots, B's pivots) of reduce_mf on m, each in its matrix's own
-    indices, once m's certificate passes; raises ValueError naming its
-    first failure otherwise."""
-    m._certificate.check()
-    a_pivots = _plan(m.A, ())
-    return a_pivots, _plan(m.B, a_pivots)
-
-
 def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     """Strip unit pivots until no scalar entries remain; the result is the
     minimal factorization in the same stable class.
@@ -495,9 +515,10 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     twists included.
     The units of A are exhausted first, then those of B; a B step only
     deletes rows and columns of A, so it never creates a unit there.
-    The input must pass verification; its cached certificate is read, so
-    an input verified before is not checked again, and the result holds
-    it (see the module docstring).
+    The input must pass verification; its cached certificate and plan are
+    read, so an input verified or planned before is not checked or
+    planned again, and the result holds the certificate and the empty
+    plan (see the module docstring).
 
     The pivot is the first unit equal to +-1, else the first rational
     constant, else the first unit, each in row-major order.  Every cone
@@ -518,10 +539,10 @@ def reduce_mf(m: MatrixFactorization) -> MatrixFactorization:
     cell, before it applies A's Schur steps; B goes alike.  Entries are
     canonical, so the result is the step-by-step loop's.
     """
-    a_pivots, b_pivots = _pivots(m)
+    a_pivots, b_pivots = m._pivots
     red = MatrixFactorization(_eliminate(m.A, a_pivots, b_pivots),
                               _eliminate(m.B, b_pivots, a_pivots), m.f)
-    red.__dict__["_certificate"] = m._certificate
+    red.__dict__.update(_certificate=m._certificate, _pivots=((), ()))
     return red
 
 
@@ -529,11 +550,13 @@ def betti_of_mf(m: MatrixFactorization) -> BettiTable:
     """The Betti table of the minimal part of m, which must pass
     verification (else ValueError, as from reduce_mf): the twists of A's
     rows (i = 0) and columns (i = 1) that no pivot of reduce_mf deletes,
-    read off its plan without forming a polynomial (see _plan).  Like
-    reduce_mf's result, it holds for generic lambda when a pivot depends
-    on lambda."""
+    read off its plan without forming a polynomial (see _plan).  The plan
+    is m's own: planned once and cached, or stored by the construction
+    that built m, so a reduction or mf_Mp_reduced(p) is read without
+    planning.  Like reduce_mf's result, it holds for generic lambda when
+    a pivot depends on lambda."""
     from .tables import BettiTable
-    a_pivots, b_pivots = _pivots(m)
+    a_pivots, b_pivots = m._pivots
     gone = ({i for i, _ in a_pivots} | {l for _, l in b_pivots},
             {j for _, j in a_pivots} | {k for k, _ in b_pivots})
     cells: dict[tuple[int, int], int] = {}

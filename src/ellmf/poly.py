@@ -84,8 +84,8 @@ class BivariatePoly(Record):
     def specialize(self, value) -> "BivariatePoly":
         """The monomials stay sorted and distinct; only the coefficients
         that vanish at value drop out."""
-        terms = ((k, c.specialize(value)) for k, c in self.terms)
-        return BivariatePoly._trusted(tuple((k, c) for k, c in terms if c))
+        return BivariatePoly._trusted(tuple([
+            (k, s) for k, c in self.terms if (s := c.specialize(value))]))
 
     def __str__(self) -> str:
         if not self.terms:

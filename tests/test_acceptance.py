@@ -15,8 +15,9 @@ from ellmf.k0 import (
     real_roots_bruteforce_box, tensor_omega, twist_by_c,
 )
 from ellmf.mf import (
-    BRANCH_POINTS, KST, PointP1, betti_of_mf, lemma63_invariants, mf_cone,
-    mf_linear, mf_Mp_reduced, reduce_mf, verify_mf,
+    BRANCH_POINTS, KST, MatrixFactorization, PointP1, betti_of_mf,
+    lemma63_invariants, mf_cone, mf_linear, mf_Mp_reduced, reduce_mf,
+    verify_mf,
 )
 from ellmf.qlambda import ONE, Scalar
 from ellmf.shift import (
@@ -199,8 +200,10 @@ def test_criterion_7_symbolic_mf():
     assert verify_mf(KST).ok
     for i in (1, 2, 3, 4):
         assert verify_mf(mf_linear(i)).ok
-    assert verify_mf(mf_Mp_reduced(PointP1(Scalar.of(0), ONE))).ok
-    assert verify_mf(mf_Mp_reduced(PointP1(ONE, Scalar.of(0)))).ok
+    # Fresh copies: mf_Mp_reduced stores the certificate it builds.
+    for p in (PointP1(Scalar.of(0), ONE), PointP1(ONE, Scalar.of(0))):
+        m = mf_Mp_reduced(p)
+        assert verify_mf(MatrixFactorization(m.A, m.B, m.f)).ok
     for p in BRANCH_POINTS:
         assert verify_mf(mf_cone(p)).ok
     rng = random.Random(9)

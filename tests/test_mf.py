@@ -180,14 +180,14 @@ def test_cone_verifies_symbolically():
 def test_reduced_form():
     p = PointP1(Scalar.of(0), ONE)
     m = mf_Mp_reduced(p)
-    assert verify_mf(m).ok
+    assert fresh_certificate(m).ok
     assert m.A.entry(0, 0) == X
     assert m.A.entry(0, 1) == Y * Y
     p = PointP1(ONE, Scalar.of(0))
     m = mf_Mp_reduced(p)
     assert m.A.entry(0, 0) == Y
     assert m.A.entry(0, 1) == X * X
-    assert verify_mf(m).ok
+    assert fresh_certificate(m).ok
     assert betti_of_mf(m).as_dict() == {(0, 0): 1, (0, 1): 1,
                                         (1, 2): 1, (1, 3): 1}
 
@@ -800,14 +800,74 @@ def test_betti_of_mf_matches_the_reference_reduction():
 
 
 def test_reduction_holds_its_input_certificate():
-    """reduce_mf stores its input's certificate on the result, and on
-    every input of test_reduce_matches_step_by_step_reference it equals
-    the full check of a fresh copy."""
+    """reduce_mf stores its input's certificate and the empty plan on the
+    result, and on every input of
+    test_reduce_matches_step_by_step_reference they equal the full check
+    and the plan of a fresh copy."""
     for m in _reduction_sources():
         red = reduce_mf(m)
         assert vars(red)["_certificate"] is verify_mf(m)
-        assert red._certificate == MatrixFactorization(
-            red.A, red.B, red.f)._certificate
+        assert vars(red)["_pivots"] == ((), ())
+        fresh = MatrixFactorization(red.A, red.B, red.f)
+        assert red._certificate == fresh._certificate
+        assert fresh._pivots == ((), ())
+
+
+def test_reduced_form_stores_a_full_check_and_plan():
+    """mf_Mp_reduced(p) stores an ok certificate and the empty plan: at
+    the branch points, rational points and every [a*lambda + b : 1] with
+    a, b in -3..3, and at their specializations at lambda = 5/2, both equal
+    the full check and the plan of a fresh copy."""
+    for p in CONE_POINTS:
+        m = mf_Mp_reduced(p)
+        assert vars(m) == {"_certificate": verify_mf(m),
+                           "_pivots": ((), ())}
+        for x in (m, m.specialize(Fraction(5, 2))):
+            fresh = MatrixFactorization(x.A, x.B, x.f)
+            assert verify_mf(x) == fresh_certificate(x)
+            assert verify_mf(x).ok
+            assert x._pivots == fresh._pivots == ((), ())
+
+
+def test_reduced_form_runs_no_full_check(monkeypatch):
+    """Building mf_Mp_reduced(p) and reading its table compose no matrix
+    and plan nothing."""
+    calls = []
+    compose, plan = GradedMatrix.compose, ellmf.mf._plan
+
+    def counting_compose(self, other):
+        calls.append("compose")
+        return compose(self, other)
+
+    def counting_plan(g, partner_pivots):
+        calls.append("plan")
+        return plan(g, partner_pivots)
+
+    monkeypatch.setattr(GradedMatrix, "compose", counting_compose)
+    monkeypatch.setattr(ellmf.mf, "_plan", counting_plan)
+    for p in BRANCH_POINTS + (PointP1(2, 3), PointP1(LAMBDA * 2 + 1, ONE)):
+        assert betti_of_mf(mf_Mp_reduced(p)).as_dict() == {
+            (0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 1}
+    assert calls == []
+
+
+def test_cone_pipeline_plans_once(monkeypatch):
+    """betti_of_mf(reduce_mf(mf_cone(p))) runs _plan twice, on the cone's
+    A and then its B: the reduction holds the empty plan, so its table is
+    read without planning again."""
+    calls = []
+    plan = ellmf.mf._plan
+
+    def counting(g, partner_pivots):
+        calls.append((g.nrows, g.ncols))
+        return plan(g, partner_pivots)
+
+    monkeypatch.setattr(ellmf.mf, "_plan", counting)
+    for p in CONE_POINTS:
+        calls.clear()
+        assert betti_of_mf(reduce_mf(mf_cone(p))).as_dict() == {
+            (0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 1}
+        assert calls == [(4, 4), (4, 4)]
 
 
 def test_betti_of_mf_forms_no_polynomial(monkeypatch):
@@ -864,7 +924,7 @@ def test_specialization_commutes():
                   lambda: mf_Mp_reduced(PointP1(Scalar.of(3), ONE))):
         m = build()
         spec = m.specialize(lam)
-        assert verify_mf(spec).ok
+        assert fresh_certificate(spec).ok
         assert spec.f == m.f.specialize(lam)
 
 
@@ -975,15 +1035,25 @@ def test_verified_cone_runs_no_full_compose(monkeypatch):
 
 def test_constructions_store_the_certificate_and_no_link():
     """A cone, direct sum, specialization, twist, syzygy or reduction of
-    passing parts holds its ok certificate from the start and nothing
-    else, so no part or source is kept alive; a construction of a failing
-    part holds nothing until verify_mf runs its full check."""
+    passing parts, and mf_Mp_reduced(p), holds its ok certificate from the
+    start and nothing else but, for a reduction and mf_Mp_reduced(p), the
+    empty plan, which holds indices alone; so no part or source is kept
+    alive.  A construction of a failing part holds nothing until
+    verify_mf runs its full check."""
     c = mf_cone(PointP1(LAMBDA, ONE))
-    for m in (c, direct_sum(KST, mf_linear(1)), c.specialize(Fraction(5, 2)),
-              c.twist(-1), c.syzygy(), mf_linear(2).syzygy().twist(1),
-              reduce_mf(c)):
-        assert vars(m).keys() == {"_certificate"}
-        assert verify_mf(m).ok and vars(m).keys() == {"_certificate"}
+    for m, stored in (
+            (c, {"_certificate"}),
+            (direct_sum(KST, mf_linear(1)), {"_certificate"}),
+            (c.specialize(Fraction(5, 2)), {"_certificate"}),
+            (c.twist(-1), {"_certificate"}), (c.syzygy(), {"_certificate"}),
+            (mf_linear(2).syzygy().twist(1), {"_certificate"}),
+            (reduce_mf(mf_cone(PointP1(LAMBDA, ONE))),
+             {"_certificate", "_pivots"}),
+            (mf_Mp_reduced(PointP1(LAMBDA, ONE)),
+             {"_certificate", "_pivots"})):
+        assert vars(m).keys() == stored
+        assert verify_mf(m).ok and vars(m).keys() == stored
+        assert vars(m).get("_pivots", ((), ())) == ((), ())
     assert verify_mf(c.twist(1)) is verify_mf(c)
     bad = _with_entry(KST, "A", 0, 0, Y)
     for m in (bad.specialize(2), bad.twist(1), bad.syzygy(),

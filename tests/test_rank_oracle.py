@@ -186,12 +186,16 @@ def scramble(draw, m: MatrixFactorization) -> MatrixFactorization:
 @given(st.data())
 def test_reduced_betti_matches_rank_oracle_under_base_change(index, data):
     """The reduction of a scrambled base has the oracle's Betti table and
-    equals, entries and twists, the step-by-step loop of mf_reference;
-    the table read off the plan of the scramble itself is the oracle's."""
+    equals, entries and twists, the step-by-step loop of mf_reference,
+    and a fresh copy of it plans no pivot, as the empty plan it stores
+    says; the table read off the plan of the scramble itself is the
+    oracle's."""
     m = scramble(data.draw, BASES[index])
     assert verify_mf(m).ok
     red = reduce_mf(m)
     assert red == reference_reduce(m)
     assert find_scalar(red.A) is None and find_scalar(red.B) is None
+    assert (MatrixFactorization(red.A, red.B, red.f)._pivots
+            == red._pivots == ((), ()))
     assert betti_of_mf(red) == oracle_betti(m) == EXPECTED[index]
     assert betti_of_mf(m) == oracle_betti(m)
